@@ -174,17 +174,18 @@ def run_flush_reload_aes(config: RunConfig, key: bytes,
     load, flush = hier.load, hier.flush
     for _ in range(trials):
         block = _random_block(rin)
-        for t in range(4):
-            addrs = region[t]
-            for b in range(FR_REGION_BLOCKS):
-                flush(addrs[b], ATTACKER_DOMAIN)
+        for addrs in region:
+            for addr in addrs:
+                flush(addr, ATTACKER_DOMAIN)
         for addr in aes_first_round_accesses(key, block, tables):
             load(addr, VICTIM_DOMAIN)
-        for t in range(4):
-            addrs, vec = region[t], vecs[t]
-            for b in range(FR_REGION_BLOCKS):
-                lat = load(addrs[b], ATTACKER_DOMAIN).latency
-                vec[b] = lat + rnoise.gauss(0.0, sigma) if sigma else lat
+        for addrs, vec in zip(region, vecs):
+            if sigma:
+                vec[:] = [load(addr, ATTACKER_DOMAIN).latency
+                          + rnoise.gauss(0.0, sigma) for addr in addrs]
+            else:
+                vec[:] = [load(addr, ATTACKER_DOMAIN).latency
+                          for addr in addrs]
         decisions = [int(np.argmin(vecs[t][:TABLE_LINES])) for t in range(4)]
         for j in range(KEY_BYTES):
             matrices[j].record(block[j], vecs[j % 4], decisions[j % 4])
@@ -226,6 +227,7 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
     cols = n_sets if by_set else n_lines
     tables = AesTables(AES_TABLE_BASE, PP_TABLE_STRIDE)
     prime_addrs = [SPECTRE_PRIME_BASE + 64 * i for i in range(n_lines)]
+    probe = _probe_order(prime_addrs, by_set, n_sets)
     matrices = [ObservationMatrix(256, cols, "input_byte",
                                   "set" if by_set else "prime_position")
                 for _ in range(KEY_BYTES)]
@@ -238,12 +240,7 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
             load(addr, ATTACKER_DOMAIN)
         for addr in aes_first_round_accesses(key, block, tables):
             load(addr, VICTIM_DOMAIN)
-        vec[:] = 0.0
-        for i in range(n_lines - 1, -1, -1):
-            lat = load(prime_addrs[i], ATTACKER_DOMAIN).latency
-            if sigma:
-                lat += rnoise.gauss(0.0, sigma)
-            vec[i % n_sets if by_set else i] += lat
+        _probe(load, probe, vec, rnoise, sigma)
         folded = vec if by_set else vec.reshape(-1, n_sets).sum(axis=0)
         decisions = [16 * t + int(np.argmax(folded[16 * t:16 * t + TABLE_LINES]))
                      for t in range(4)]
@@ -284,8 +281,8 @@ def _spectre_fr_trial(hier: Hierarchy, engine: SpecEngine, secret: int,
     for s in range(PROBE_BLOCKS):
         flush(SPECTRE_PROBE_BASE + 64 * s, ATTACKER_DOMAIN)
     _wrong_path(engine, secret, sender_dom, enter_wrong_path)
-    for s in range(PROBE_BLOCKS):
-        vec[s] = load(SPECTRE_PROBE_BASE + 64 * s, ATTACKER_DOMAIN).latency
+    vec[:] = [load(SPECTRE_PROBE_BASE + 64 * s, ATTACKER_DOMAIN).latency
+              for s in range(PROBE_BLOCKS)]
 
 
 def run_spectre_fr(config: RunConfig, secret: int,
@@ -356,13 +353,25 @@ def pp_experiment_config(config: RunConfig) -> RunConfig:
     return dataclasses.replace(config, l1_assoc=2).validate()
 
 
-def _spectre_pp_probe(hier: Hierarchy, prime_addrs, by_set: bool,
-                      n_sets: int, vec: np.ndarray) -> None:
-    load = hier.load
-    vec[:] = 0.0
-    for i in range(len(prime_addrs) - 1, -1, -1):
-        lat = load(prime_addrs[i], ATTACKER_DOMAIN).latency
-        vec[i % n_sets if by_set else i] += lat
+def _probe_order(prime_addrs, by_set: bool, n_sets: int) -> list:
+    """(address, column) pairs in probe order: the primed lines newest
+    first, each charged to its set or to its own prime position."""
+    return [(prime_addrs[i], i % n_sets if by_set else i)
+            for i in range(len(prime_addrs) - 1, -1, -1)]
+
+
+def _probe(load, probe, vec: np.ndarray, rnoise: Rng | None = None,
+           sigma: float = 0.0) -> None:
+    """Time every probe load (plus jitter when sigma is set) and store
+    the per-column sums in vec.  The sums run in Python floats, in probe
+    order, and reach vec in one assignment."""
+    acc = [0.0] * len(vec)
+    for addr, col in probe:
+        lat = load(addr, ATTACKER_DOMAIN).latency
+        if sigma:
+            lat += rnoise.gauss(0.0, sigma)
+        acc[col] += lat
+    vec[:] = acc
 
 
 def _fold(vec: np.ndarray, n_sets: int) -> np.ndarray:
@@ -391,6 +400,7 @@ def run_spectre_pp(config: RunConfig, secret: int,
     n_sets = config.l1_lines // config.l1_assoc
     cols = n_sets if by_set else config.l1_lines
     prime_addrs = [SPECTRE_PRIME_BASE + 64 * i for i in range(config.l1_lines)]
+    probe = _probe_order(prime_addrs, by_set, n_sets)
     vec = np.empty(cols)
 
     # baseline pass: trained path only, fresh instance
@@ -401,7 +411,7 @@ def run_spectre_pp(config: RunConfig, secret: int,
             hier_b.load(addr, ATTACKER_DOMAIN)
         hier_b.load(SPECTRE_ARRAY1_LINE, sender_dom)
         hier_b.load(SPECTRE_PROBE_BASE + 64 * SPECTRE_INBOUNDS_VALUE, sender_dom)
-        _spectre_pp_probe(hier_b, prime_addrs, by_set, n_sets, vec)
+        _probe(hier_b.load, probe, vec)
         base_sum += vec
     base_fold = _fold(base_sum / trials, n_sets)
 
@@ -414,7 +424,7 @@ def run_spectre_pp(config: RunConfig, secret: int,
         for addr in prime_addrs:
             hier.load(addr, ATTACKER_DOMAIN)
         _wrong_path(engine, secret, sender_dom, enter_wrong_path)
-        _spectre_pp_probe(hier, prime_addrs, by_set, n_sets, vec)
+        _probe(hier.load, probe, vec)
         matrix.record(secret, vec,
                       int(np.argmax(_fold(vec, n_sets) - base_fold)))
 
@@ -442,6 +452,7 @@ def run_spectre_pp_sweep(config: RunConfig, trials_per_secret: int | None = None
     n_sets = config.l1_lines // config.l1_assoc
     cols = n_sets if by_set else config.l1_lines
     prime_addrs = [SPECTRE_PRIME_BASE + 64 * i for i in range(config.l1_lines)]
+    probe = _probe_order(prime_addrs, by_set, n_sets)
     vec = np.empty(cols)
 
     hier_b = config.build_hierarchy(root.fork("hier-baseline"))
@@ -451,7 +462,7 @@ def run_spectre_pp_sweep(config: RunConfig, trials_per_secret: int | None = None
             hier_b.load(addr, ATTACKER_DOMAIN)
         hier_b.load(SPECTRE_ARRAY1_LINE, sender_dom)
         hier_b.load(SPECTRE_PROBE_BASE + 64 * SPECTRE_INBOUNDS_VALUE, sender_dom)
-        _spectre_pp_probe(hier_b, prime_addrs, by_set, n_sets, vec)
+        _probe(hier_b.load, probe, vec)
         base_sum += vec
     base_fold = _fold(base_sum / trials_per_secret, n_sets)
 
@@ -466,7 +477,7 @@ def run_spectre_pp_sweep(config: RunConfig, trials_per_secret: int | None = None
             for addr in prime_addrs:
                 hier.load(addr, ATTACKER_DOMAIN)
             _wrong_path(engine, secret, sender_dom, True)
-            _spectre_pp_probe(hier, prime_addrs, by_set, n_sets, vec)
+            _probe(hier.load, probe, vec)
             matrix.record(secret, vec,
                           int(np.argmax(_fold(vec, n_sets) - base_fold)))
         diff = _fold(matrix.mean_latency()[secret], n_sets) - base_fold

@@ -166,11 +166,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if (args.trace is None) == (args.synth is None):
         raise ConfigError("give exactly one input: a trace file or --synth")
     if args.synth is not None:
-        events = synth_trace(args.synth, args.events, seed=cfg.seed,
-                             p_squash=args.p_squash,
-                             store_fraction=args.store_fraction,
-                             footprint_lines=args.footprint,
-                             domains=args.domains)
+        try:
+            events = synth_trace(args.synth, args.events, seed=cfg.seed,
+                                 p_squash=args.p_squash,
+                                 store_fraction=args.store_fraction,
+                                 footprint_lines=args.footprint,
+                                 domains=args.domains)
+        except ValueError as exc:
+            raise ConfigError(f"--synth {args.synth}: {exc}") from None
         source = {"synth": args.synth, "events": args.events,
                   "p_squash": args.p_squash}
     else:

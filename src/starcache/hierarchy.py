@@ -22,6 +22,10 @@ from .core import CacheGeometry, FlatMemory, Rng
 from .models import (AccessKind, AccessOutcome, FarrCache, MemoryRequest,
                      NewsCache, Op, SetAssocLru, SFillAction)
 
+_LOAD = Op.LOAD
+_STORE = Op.STORE
+_HIT = AccessKind.HIT
+
 
 @dataclass(slots=True)
 class MemoryResponse:
@@ -120,11 +124,10 @@ class _L2Port:
     def fetch(self, addr: int, domain: int, spec_bit: int):
         base = addr & self.line_mask
         merged, stall = self.mshr.begin(base, domain)
-        out = self.l2.access(Op.LOAD, addr, domain, spec_bit)
+        out = self.l2.access(_LOAD, addr, domain, spec_bit)
         self.mshr.end(base, domain)
         rec = self.l2.find(addr)
-        source = 2 if out.kind is AccessKind.HIT else 3
-        return rec.data, source, out.latency + stall
+        return rec.data, 2 if out.kind is _HIT else 3, out.latency + stall
 
     def writeback(self, base: int, domain: int, data) -> None:
         rec = self.l2.find(base)
@@ -192,19 +195,18 @@ class Hierarchy:
     def tagmiss_forward_nofill(self) -> int:
         return getattr(self.l1, "tagmiss_forward_nofill", 0)
 
-    def _tally(self, out: AccessOutcome) -> None:
-        if out.kind is AccessKind.HIT:
-            self.l1_hits += 1
-        elif out.source_level == 2:
-            self.l1_miss_l2 += 1
-        else:
-            self.l1_miss_mem += 1
-
     # -- the architectural operations --
     def load(self, addr: int, domain: int, spec_bit: int = 0) -> AccessOutcome:
         self.loads += 1
-        out = self.l1.access(Op.LOAD, addr, domain, spec_bit)
-        self._tally(out)
+        # looked up per call: a tracer may wrap the instance's access
+        out = self.l1.access(_LOAD, addr, domain, spec_bit)
+        source = out.source_level
+        if source == 1:
+            self.l1_hits += 1
+        elif source == 2:
+            self.l1_miss_l2 += 1
+        else:
+            self.l1_miss_mem += 1
         if self.debug_checks:
             self.check_invariants()
         return out
@@ -220,7 +222,7 @@ class Hierarchy:
             value = self._store_seq
             self._store_seq = (self._store_seq + 1) & 0xFF
         # hit/miss tallies cover loads only, so hits + misses = loads holds
-        out = self.l1.access(Op.STORE, addr, domain, 0, value & 0xFF)
+        out = self.l1.access(_STORE, addr, domain, 0, value & 0xFF)
         if self.debug_checks:
             self.check_invariants()
         return out
@@ -273,11 +275,13 @@ class Hierarchy:
 
     def _back_invalidate(self, base: int) -> None:
         # L2 lost the address; no L1 copy of it may survive.  A dirty
-        # L1 copy skips the (gone) L2 line and lands in memory.
-        for rec in [r for r in self.l1.valid_lines() if r.base == base]:
-            self.l1.flush_line(rec.base, rec.domain, True)
+        # L1 copy skips the (gone) L2 line and lands in memory.  Copies
+        # go in ascending slot order, the order the free list expects.
+        l1 = self.l1
+        for rec in l1.lines_at(base):
+            l1.flush_line(base, rec.domain, True)
             if rec.dirty:
-                self.memory.write_line(rec.base, rec.data)
+                self.memory.write_line(base, rec.data)
 
     def drain(self) -> None:
         """Write every dirty line back and empty both levels."""
@@ -295,11 +299,24 @@ class Hierarchy:
 
     def check_invariants(self) -> None:
         l1_lines = list(self.l1.valid_lines())
+        by_base: dict[int, list] = {}
         for rec in l1_lines:
             assert self.l2.contains_addr(rec.base), \
                 f"L1 line 0x{rec.base:x} missing from L2"
             assert not (rec.spec_bit and rec.dirty), \
                 f"speculative line 0x{rec.base:x} is dirty"
+            by_base.setdefault(rec.base, []).append(rec)
+        # the base index must agree with a scan, slot order included
+        for base, recs in by_base.items():
+            assert self.l1.contains_addr(base), \
+                f"base index lost L1 line 0x{base:x}"
+            found = self.l1.lines_at(base)
+            assert len(found) == len(recs) and all(
+                a is b for a, b in zip(found, recs)), \
+                f"base index disagrees with the L1 lines at 0x{base:x}"
+        if not isinstance(self.l1, SetAssocLru):
+            assert self.l1._at.keys() == by_base.keys(), \
+                "base index holds a line base no L1 line has"
         for rec in self.l2.valid_lines():
             assert not (rec.spec_bit and rec.dirty), \
                 f"speculative L2 line 0x{rec.base:x} is dirty"

@@ -18,6 +18,14 @@ Every model keeps a spec_bit per line: set when the line was filled by a
 speculative load, cleared by the first non-speculative touch.  Lines
 with spec_bit set are never dirty, which lets squash-time invalidation
 drop them without a write-back.
+
+Hits are the common case, so they allocate nothing: every model returns
+one preallocated, immutable hit outcome, and only misses build a new
+AccessOutcome.  Every model also answers "which lines hold this base?"
+without scanning (lines_at, contains_addr): the set-associative cache
+through its per-set dict, the two random-slot designs through a base
+index from line base to the slots holding a copy, one copy per domain
+at most.  The hierarchy uses it to recall L1 copies when L2 evicts.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DOMAIN_NONE, CacheGeometry, Rng
 
@@ -46,6 +55,16 @@ class SFillAction(enum.Enum):
     DROP = "drop"
 
 
+# The access paths compare against these instead of looking the members
+# up on their enum classes on every call.
+_STORE = Op.STORE
+_HIT = AccessKind.HIT
+_FILLED = AccessKind.MISS_FILLED
+_NOFILL = AccessKind.MISS_FORWARD_NOFILL
+_DROP = SFillAction.DROP
+_PROPAGATE = SFillAction.PROPAGATE
+
+
 @dataclass(slots=True)
 class MemoryRequest:
     op: Op
@@ -54,13 +73,13 @@ class MemoryRequest:
     spec_bit: int = 0
 
 
-@dataclass(slots=True)
-class AccessOutcome:
+class AccessOutcome(NamedTuple):
     """Result of one L1 access.
 
     kind HIT implies source_level 1; the miss kinds carry the level that
     supplied the data (2 = L2, 3 = memory).  victim_evicted is the base
-    address of a valid line displaced by this access, if any.
+    address of a valid line displaced by this access, if any.  Outcomes
+    are immutable: a model hands out the same hit outcome every time.
     """
 
     kind: AccessKind
@@ -111,10 +130,12 @@ class SetAssocLru:
         self.secure_inval = secure_inval
         self.level = level
         self._offset_bits = geometry.offset_bits
+        self._line_mask = ~(geometry.line_size - 1)
         self._setmask = geometry.set_count - 1
         self._assoc = geometry.associativity
         # per-set OrderedDict keyed by line base; insertion end is MRU
         self._sets = [OrderedDict() for _ in range(geometry.set_count)]
+        self._hit = AccessOutcome(_HIT, hit_cycles, 1)
         self.inval_dropped_case_i = 0
         # set by the hierarchy when this cache backs an upper level;
         # called after an eviction so the upper copy can be recalled
@@ -122,7 +143,7 @@ class SetAssocLru:
 
     # -- lookup without side effects (debug / invariant checks) --
     def find(self, addr: int, domain: int | None = None) -> CacheLineMeta | None:
-        base = addr & ~(self.geom.line_size - 1)
+        base = addr & self._line_mask
         rec = self._sets[(base >> self._offset_bits) & self._setmask].get(base)
         if rec is None:
             return None
@@ -133,23 +154,28 @@ class SetAssocLru:
     def contains_addr(self, base: int) -> bool:
         return base in self._sets[(base >> self._offset_bits) & self._setmask]
 
+    def lines_at(self, base: int) -> list[CacheLineMeta]:
+        """The line holding base, if any: a set holds one copy at most."""
+        rec = self._sets[(base >> self._offset_bits) & self._setmask].get(base)
+        return [] if rec is None else [rec]
+
     def valid_lines(self):
         for s in self._sets:
             yield from s.values()
 
     def access(self, op: Op, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
-        base = addr & ~(self.geom.line_size - 1)
+        base = addr & self._line_mask
         od = self._sets[(base >> self._offset_bits) & self._setmask]
         rec = od.get(base)
         if rec is not None:
             od.move_to_end(base)
             if not spec_bit:
                 rec.spec_bit = 0
-            if op is Op.STORE:
+            if op is _STORE:
                 rec.data[addr - base] = value
                 rec.dirty = 1
-            return AccessOutcome(AccessKind.HIT, self.hit_cycles, 1)
+            return self._hit
 
         data, source, below = self.lower.fetch(addr, domain, spec_bit)
         victim = None
@@ -162,17 +188,16 @@ class SetAssocLru:
             victim = vbase
         rec = CacheLineMeta(base, base >> self._offset_bits, 0, domain,
                             spec_bit, 0, bytearray(data))
-        if op is Op.STORE:
+        if op is _STORE:
             rec.spec_bit = 0
             rec.data[addr - base] = value
             rec.dirty = 1
         od[base] = rec
-        return AccessOutcome(AccessKind.MISS_FILLED, self.hit_cycles + below,
-                             source, victim)
+        return AccessOutcome(_FILLED, self.hit_cycles + below, source, victim)
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool) -> CacheLineMeta | None:
-        base = addr & ~(self.geom.line_size - 1)
+        base = addr & self._line_mask
         od = self._sets[(base >> self._offset_bits) & self._setmask]
         rec = od.get(base)
         if rec is None or (own_domain_only and rec.domain != domain):
@@ -190,61 +215,97 @@ class SetAssocLru:
                          source_level: int) -> SFillAction:
         if not self.secure_inval:
             # conventional cache: the message means nothing here
-            return SFillAction.DROP
-        base = addr & ~(self.geom.line_size - 1)
+            return _DROP
+        base = addr & self._line_mask
         od = self._sets[(base >> self._offset_bits) & self._setmask]
         rec = od.get(base)
         if rec is not None and rec.domain == domain:
             if not rec.spec_bit:
                 self.inval_dropped_case_i += 1
-                return SFillAction.DROP
+                return _DROP
             assert not rec.dirty, "speculative line must be clean"
             del od[base]
         # fell through: either invalidated or not resident here
-        return (SFillAction.PROPAGATE if source_level > self.level
-                else SFillAction.DROP)
+        return _PROPAGATE if source_level > self.level else _DROP
 
 
-class FarrCache:
-    """Fully associative cache, uniform random replacement, domain-checked
-    hits."""
+class _SlotCache:
+    """Slot array, free list, key map and base index shared by the two
+    random-slot designs.
 
-    kind = "star-farr"
+    Each subclass looks lines up through its own key map (self._keys,
+    key -> slot, keyed by _key(rec)).  The base index self._at maps a
+    line base to the slots holding a copy of it, in the order they were
+    filled; lines_at sorts them, because back-invalidation must free
+    slots in ascending order to keep later fills where they always
+    landed.
+    """
+
+    # fault-injection hook for the self test: chooses slot 0 forever
+    deterministic_victim = False
 
     def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
-                 rng: Rng, level: int = 1, deterministic_victim: bool = False):
+                 rng: Rng, level: int):
         self.geom = geometry
         self.hit_cycles = hit_cycles
         self.lower = lower
         self.rng = rng
         self.level = level
-        # fault-injection hook for the self test: chooses slot 0 forever
-        self.deterministic_victim = deterministic_victim
         n = geometry.line_count
         self._n = n
         self._line_mask = ~(geometry.line_size - 1)
         self._slots: list[CacheLineMeta | None] = [None] * n
-        self._where: dict[tuple[int, int], int] = {}   # (base, domain) -> slot
         self._free = list(range(n - 1, -1, -1))
+        self._keys: dict = {}
+        self._at: dict[int, list[int]] = {}        # base -> slots
+        self._hit = AccessOutcome(_HIT, hit_cycles, 1)
         self.inval_dropped_case_i = 0
 
-    def find(self, addr: int, domain: int) -> CacheLineMeta | None:
-        slot = self._where.get((addr & self._line_mask, domain))
-        return None if slot is None else self._slots[slot]
+    @staticmethod
+    def _key(rec: CacheLineMeta):
+        raise NotImplementedError
 
     def contains_addr(self, base: int) -> bool:
-        return any(rec is not None and rec.base == base for rec in self._slots)
+        return base in self._at
+
+    def lines_at(self, base: int) -> list[CacheLineMeta]:
+        """Every copy of base, in ascending slot order."""
+        slots = self._at.get(base)
+        if slots is None:
+            return []
+        return [self._slots[s] for s in sorted(slots)]
 
     def valid_lines(self):
         return (rec for rec in self._slots if rec is not None)
+
+    def _fill(self, slot: int, rec: CacheLineMeta) -> None:
+        self._slots[slot] = rec
+        self._keys[self._key(rec)] = slot
+        at = self._at.get(rec.base)
+        if at is None:
+            self._at[rec.base] = [slot]
+        else:
+            at.append(slot)
+
+    def _release(self, slot: int) -> CacheLineMeta:
+        """Empty slot, drop its line from both maps and free the slot;
+        the caller owns any write-back of the returned record."""
+        rec = self._slots[slot]
+        self._slots[slot] = None
+        del self._keys[self._key(rec)]
+        at = self._at[rec.base]
+        if len(at) == 1:
+            del self._at[rec.base]
+        else:
+            at.remove(slot)
+        self._free.append(slot)
+        return rec
 
     def _evict_slot(self, slot: int) -> int:
         rec = self._slots[slot]
         if rec.dirty:
             self.lower.writeback(rec.base, rec.domain, rec.data)
-        del self._where[(rec.base, rec.domain)]
-        self._slots[slot] = None
-        self._free.append(slot)
+        self._release(slot)
         return rec.base
 
     def _random_valid_slot(self) -> int | None:
@@ -259,6 +320,48 @@ class FarrCache:
             if self._slots[slot] is not None:
                 return slot
 
+    def _take_slot(self) -> tuple[int, int | None]:
+        """A slot for a new line, invalid slots first, else a random
+        valid one evicted; returns (slot, evicted base or None)."""
+        if self._free:
+            return self._free.pop(), None
+        slot = self._random_valid_slot()
+        victim = self._evict_slot(slot)
+        self._free.pop()
+        return slot, victim
+
+    def _drop_spec_line(self, slot: int | None, source_level: int) -> SFillAction:
+        """Squash invalidation for the line in slot (None: not here)."""
+        if slot is not None:
+            rec = self._slots[slot]
+            if not rec.spec_bit:
+                self.inval_dropped_case_i += 1
+                return _DROP
+            assert not rec.dirty, "speculative line must be clean"
+            self._release(slot)
+        return _PROPAGATE if source_level > self.level else _DROP
+
+
+class FarrCache(_SlotCache):
+    """Fully associative cache, uniform random replacement, domain-checked
+    hits."""
+
+    kind = "star-farr"
+
+    def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
+                 rng: Rng, level: int = 1, deterministic_victim: bool = False):
+        super().__init__(geometry, hit_cycles, lower, rng, level)
+        self.deterministic_victim = deterministic_victim
+        self._where = self._keys                   # (base, domain) -> slot
+
+    @staticmethod
+    def _key(rec: CacheLineMeta):
+        return rec.base, rec.domain
+
+    def find(self, addr: int, domain: int) -> CacheLineMeta | None:
+        slot = self._where.get((addr & self._line_mask, domain))
+        return None if slot is None else self._slots[slot]
+
     def access(self, op: Op, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
         base = addr & self._line_mask
@@ -267,59 +370,35 @@ class FarrCache:
             rec = self._slots[slot]
             if not spec_bit:
                 rec.spec_bit = 0
-            if op is Op.STORE:
+            if op is _STORE:
                 rec.data[addr - base] = value
                 rec.dirty = 1
-            return AccessOutcome(AccessKind.HIT, self.hit_cycles, 1)
+            return self._hit
 
         data, source, below = self.lower.fetch(addr, domain, spec_bit)
-        victim = None
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self._random_valid_slot()
-            victim = self._evict_slot(slot)
-            self._free.pop()
+        slot, victim = self._take_slot()
         rec = CacheLineMeta(base, base >> self.geom.offset_bits, 0, domain,
                             spec_bit, 0, bytearray(data))
-        if op is Op.STORE:
+        if op is _STORE:
             rec.spec_bit = 0
             rec.data[addr - base] = value
             rec.dirty = 1
-        self._slots[slot] = rec
-        self._where[(base, domain)] = slot
-        return AccessOutcome(AccessKind.MISS_FILLED, self.hit_cycles + below,
-                             source, victim)
+        self._fill(slot, rec)
+        return AccessOutcome(_FILLED, self.hit_cycles + below, source, victim)
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool = True) -> CacheLineMeta | None:
         # domain-checked design: a flush can only ever see its own lines
         slot = self._where.get((addr & self._line_mask, domain))
-        if slot is None:
-            return None
-        rec = self._slots[slot]
-        del self._where[(rec.base, rec.domain)]
-        self._slots[slot] = None
-        self._free.append(slot)
-        return rec
+        return None if slot is None else self._release(slot)
 
     def handle_sfill_inv(self, addr: int, domain: int,
                          source_level: int) -> SFillAction:
-        slot = self._where.get((addr & self._line_mask, domain))
-        if slot is not None:
-            rec = self._slots[slot]
-            if not rec.spec_bit:
-                self.inval_dropped_case_i += 1
-                return SFillAction.DROP
-            assert not rec.dirty, "speculative line must be clean"
-            del self._where[(rec.base, rec.domain)]
-            self._slots[slot] = None
-            self._free.append(slot)
-        return (SFillAction.PROPAGATE if source_level > self.level
-                else SFillAction.DROP)
+        return self._drop_spec_line(
+            self._where.get((addr & self._line_mask, domain)), source_level)
 
 
-class NewsCache:
+class NewsCache(_SlotCache):
     """Randomized-mapping cache.
 
     Lookup walks a mapping array keyed by (domain, index) where the
@@ -335,76 +414,51 @@ class NewsCache:
 
     def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
                  rng: Rng, level: int = 1, fill_on_spec_tagmiss: bool = False):
-        self.geom = geometry
-        self.hit_cycles = hit_cycles
-        self.lower = lower
-        self.rng = rng
-        self.level = level
+        super().__init__(geometry, hit_cycles, lower, rng, level)
         # fault-injection hook: treat the speculative conflict like the
         # non-speculative one (fill anyway)
         self.fill_on_spec_tagmiss = fill_on_spec_tagmiss
-        n = geometry.line_count
-        self._n = n
         self._offset_bits = geometry.offset_bits
         self._index_mask = (1 << geometry.index_bits) - 1
         self._tag_shift = geometry.offset_bits + geometry.index_bits
-        self._line_mask = ~(geometry.line_size - 1)
-        self._slots: list[CacheLineMeta | None] = [None] * n
-        self._map: dict[tuple[int, int], int] = {}     # (domain, index) -> slot
-        self._free = list(range(n - 1, -1, -1))
+        self._map = self._keys                     # (domain, index) -> slot
         self.tagmiss_forward_nofill = 0
-        self.inval_dropped_case_i = 0
+
+    @staticmethod
+    def _key(rec: CacheLineMeta):
+        return rec.domain, rec.index
+
+    def _slot_of(self, addr: int, domain: int) -> int | None:
+        """Slot holding addr's line for domain: mapping and tag match."""
+        slot = self._map.get((domain, (addr >> self._offset_bits)
+                              & self._index_mask))
+        if slot is None or self._slots[slot].tag != addr >> self._tag_shift:
+            return None
+        return slot
 
     def find(self, addr: int, domain: int) -> CacheLineMeta | None:
-        index = (addr >> self._offset_bits) & self._index_mask
-        slot = self._map.get((domain, index))
-        if slot is None:
-            return None
-        rec = self._slots[slot]
-        return rec if rec.tag == addr >> self._tag_shift else None
-
-    def contains_addr(self, base: int) -> bool:
-        return any(rec is not None and rec.base == base for rec in self._slots)
-
-    def valid_lines(self):
-        return (rec for rec in self._slots if rec is not None)
+        slot = self._slot_of(addr, domain)
+        return None if slot is None else self._slots[slot]
 
     def mapping_entries(self):
         return [MappingEntry(d, i) for (d, i) in self._map]
 
-    def _evict_slot(self, slot: int) -> int:
-        rec = self._slots[slot]
-        if rec.dirty:
-            self.lower.writeback(rec.base, rec.domain, rec.data)
-        del self._map[(rec.domain, rec.index)]
-        self._slots[slot] = None
-        self._free.append(slot)
-        return rec.base
-
-    def _random_valid_slot(self) -> int | None:
-        if len(self._free) == self._n:
-            return None
-        while True:
-            slot = self.rng.choose(self._n)
-            if self._slots[slot] is not None:
-                return slot
-
     def access(self, op: Op, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
-        base = addr & self._line_mask
         index = (addr >> self._offset_bits) & self._index_mask
         tag = addr >> self._tag_shift
         slot = self._map.get((domain, index))
-
-        if slot is not None and self._slots[slot].tag == tag:
+        if slot is not None:
             rec = self._slots[slot]
-            if not spec_bit:
-                rec.spec_bit = 0
-            if op is Op.STORE:
-                rec.data[addr - base] = value
-                rec.dirty = 1
-            return AccessOutcome(AccessKind.HIT, self.hit_cycles, 1)
+            if rec.tag == tag:
+                if not spec_bit:
+                    rec.spec_bit = 0
+                if op is _STORE:
+                    rec.data[addr - rec.base] = value
+                    rec.dirty = 1
+                return self._hit
 
+        base = addr & self._line_mask
         data, source, below = self.lower.fetch(addr, domain, spec_bit)
         # the fetch may have recalled lines (an L2 eviction), so take a
         # fresh look at who owns the mapping entry now
@@ -412,79 +466,38 @@ class NewsCache:
 
         if slot is not None:
             # mapping hit, tag miss: a same-domain line owns this index
-            rec = self._slots[slot]
             if spec_bit and not self.fill_on_spec_tagmiss:
                 # forward the data but leave no trace of the requested
                 # line; evict one random valid line instead
                 self.tagmiss_forward_nofill += 1
                 vslot = self._random_valid_slot()
                 victim = self._evict_slot(vslot) if vslot is not None else None
-                return AccessOutcome(AccessKind.MISS_FORWARD_NOFILL,
-                                     self.hit_cycles + below, source, victim)
+                return AccessOutcome(_NOFILL, self.hit_cycles + below, source,
+                                     victim)
             # non-speculative conflict replaces the conflicting line in
             # place; the mapping key stays, the tag changes
-            if rec.dirty:
-                self.lower.writeback(rec.base, rec.domain, rec.data)
-            victim = rec.base
-            new = CacheLineMeta(base, tag, index, domain, spec_bit, 0,
-                                bytearray(data))
-            if op is Op.STORE:
-                new.spec_bit = 0
-                new.data[addr - base] = value
-                new.dirty = 1
-            self._slots[slot] = new
-            return AccessOutcome(AccessKind.MISS_FILLED,
-                                 self.hit_cycles + below, source, victim)
-
-        # mapping miss: fill over a random victim (invalid slots first)
-        victim = None
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self._random_valid_slot()
             victim = self._evict_slot(slot)
             self._free.pop()
+        else:
+            # mapping miss: fill over a random victim (invalid slots first)
+            slot, victim = self._take_slot()
         rec = CacheLineMeta(base, tag, index, domain, spec_bit, 0,
                             bytearray(data))
-        if op is Op.STORE:
+        if op is _STORE:
             rec.spec_bit = 0
             rec.data[addr - base] = value
             rec.dirty = 1
-        self._slots[slot] = rec
-        self._map[(domain, index)] = slot
-        return AccessOutcome(AccessKind.MISS_FILLED, self.hit_cycles + below,
-                             source, victim)
+        self._fill(slot, rec)
+        return AccessOutcome(_FILLED, self.hit_cycles + below, source, victim)
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool = True) -> CacheLineMeta | None:
-        index = (addr >> self._offset_bits) & self._index_mask
-        slot = self._map.get((domain, index))
-        if slot is None:
-            return None
-        rec = self._slots[slot]
-        if rec.tag != addr >> self._tag_shift:
-            return None
-        del self._map[(rec.domain, rec.index)]
-        self._slots[slot] = None
-        self._free.append(slot)
-        return rec
+        slot = self._slot_of(addr, domain)
+        return None if slot is None else self._release(slot)
 
     def handle_sfill_inv(self, addr: int, domain: int,
                          source_level: int) -> SFillAction:
-        index = (addr >> self._offset_bits) & self._index_mask
-        slot = self._map.get((domain, index))
-        if slot is not None:
-            rec = self._slots[slot]
-            if rec.tag == addr >> self._tag_shift:
-                if not rec.spec_bit:
-                    self.inval_dropped_case_i += 1
-                    return SFillAction.DROP
-                assert not rec.dirty, "speculative line must be clean"
-                del self._map[(rec.domain, rec.index)]
-                self._slots[slot] = None
-                self._free.append(slot)
-        return (SFillAction.PROPAGATE if source_level > self.level
-                else SFillAction.DROP)
+        return self._drop_spec_line(self._slot_of(addr, domain), source_level)
 
 
 MODEL_NAMES = ("sa-lru", "star-farr", "star-news")

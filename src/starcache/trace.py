@@ -245,6 +245,15 @@ def synth_trace(profile: str, events: int, seed: int,
         raise ValueError(f"unknown profile {profile!r}; pick one of {PROFILES}")
     if events < 1:
         raise ValueError("need at least one event")
+    for name, p in (("p_squash", p_squash), ("store_fraction", store_fraction)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    if footprint_lines < 1:
+        raise ValueError(
+            f"footprint_lines must be at least 1, got {footprint_lines}")
+    # domain ids run 0..domains-1 and must stay below the reserved id
+    if not 1 <= domains <= DOMAIN_NONE:
+        raise ValueError(f"domains must be 1..{DOMAIN_NONE}, got {domains}")
     rng = Rng(seed)
     out: list[TraceEvent] = [TraceEvent(EventKind.COMMENT,
                                         text=f"synth {profile} seed={seed}")]

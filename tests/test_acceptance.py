@@ -18,6 +18,8 @@ from starcache.core import Rng
 from starcache.engine import SpecEngine
 from starcache.trace import replay, synth_trace
 
+pytestmark = pytest.mark.acceptance
+
 MODELS = ("sa-lru", "star-farr", "star-news")
 STAR_MODELS = ("star-farr", "star-news")
 KEY_ZERO = bytes(16)

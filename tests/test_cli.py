@@ -157,3 +157,20 @@ def test_sweep_command_smoke(tmp_path, capsys):
     assert body[1].startswith("0,0,")
     assert (out / "fr-spectre-sweep-sa-lru-matrix.csv").exists()
     assert (out / "fr-spectre-sweep-sa-lru-summary.json").exists()
+
+
+@pytest.mark.parametrize("profile,flag,value,what", [
+    ("spec-mix", "--p-squash", "2", "p_squash"),
+    ("uniform-random", "--footprint", "0", "footprint_lines"),
+    ("uniform-random", "--store-fraction", "1.5", "store_fraction"),
+    ("uniform-random", "--domains", "300", "domains"),
+])
+def test_replay_synth_rejects_out_of_range_input(tmp_path, capsys, profile,
+                                                 flag, value, what):
+    out = tmp_path / "o"
+    rc = main(["replay", "--synth", profile, "--events", "200", flag, value,
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starcache: error:") and what in err
+    assert not out.exists()

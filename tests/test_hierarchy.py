@@ -226,3 +226,99 @@ def test_mismatched_line_sizes_rejected():
     with pytest.raises(ValueError):
         Hierarchy("sa-lru", CacheGeometry(64, 512, 8),
                   CacheGeometry(128, 4096, 8), Rng(1))
+
+
+# -- base index and back-invalidation --
+
+_STRIDE = 64 * 16          # one L2 set apart in a 16-set L2
+
+
+def _tiny(model):
+    """16-line L1 under a 16-set, 2-way L2: a third line in one L2 set
+    evicts the first, with invariants checked after every operation."""
+    return _hier(model, l1_lines=16, l1_assoc=8, l2_lines=32, l2_assoc=2,
+                 debug_checks=True)
+
+
+def _slot(h, addr, domain):
+    return h.l1._slots.index(h.l1.find(addr, domain))
+
+
+@pytest.mark.parametrize("model", ["star-farr", "star-news"])
+def test_l2_eviction_recalls_every_domain_copy(model):
+    a = 0x8000
+    h = _tiny(model)
+    h.store(a + 3, 0, 0x11)            # domain 0's copy, slot 0, dirty
+    h.store(a + 3, 1, 0x22)            # domain 1's copy, slot 1, dirty
+    h.load(0x9040, 0)                  # slot 2, another L2 set
+    assert [_slot(h, a, d) for d in (0, 1)] == [0, 1]
+    assert [r.domain for r in h.l1.lines_at(a)] == [0, 1]
+    h.load(a + _STRIDE, 0)             # slot 3; the L2 set is now full
+    h.load(a + 2 * _STRIDE, 0)         # L2 evicts a: both copies go
+    assert not h.l2.contains_addr(a)
+    assert not h.l1.contains_addr(a)
+    assert h.l1.lines_at(a) == []
+    assert h.l1.find(a, 0) is None and h.l1.find(a, 1) is None
+    # copies are written back in ascending slot order: slot 1 lands last
+    assert bytes(h.memory.read_line(a))[3] == 0x22
+    # slots 0 then 1 were freed, so the refill took 1 and the next fill 0
+    assert _slot(h, a + 2 * _STRIDE, 0) == 1
+    h.load(0xA080, 0)
+    assert _slot(h, 0xA080, 0) == 0
+
+
+@pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
+def test_l2_eviction_saves_a_dirty_l1_copy(model):
+    a = 0x8000
+    h = _tiny(model)
+    h.store(a + 9, 0, 0x5A)
+    h.load(a + _STRIDE, 0)
+    h.load(a + 2 * _STRIDE, 0)
+    assert not h.l1.contains_addr(a)
+    assert bytes(h.memory.read_line(a))[9] == 0x5A
+    assert [r.base for r in h.l1.lines_at(a + 2 * _STRIDE)] == [a + 2 * _STRIDE]
+
+
+@pytest.mark.parametrize("model", ["star-farr", "star-news"])
+def test_invariant_check_catches_a_stale_base_index(model):
+    h = _tiny(model)
+    h.load(0x8000, 0)
+    h.check_invariants()
+    h.l1._at[0x123440] = [5]
+    with pytest.raises(AssertionError, match="base index"):
+        h.check_invariants()
+    del h.l1._at[0x123440]
+    h.l1._at[0x8000].append(7)
+    with pytest.raises(AssertionError, match="base index"):
+        h.check_invariants()
+
+
+def _index_matches_scan(l1) -> None:
+    by_base = {}
+    for rec in l1.valid_lines():
+        by_base.setdefault(rec.base, []).append(rec)
+    assert set(l1._at) == set(by_base)
+    for base, recs in by_base.items():
+        assert l1.contains_addr(base)
+        assert l1.lines_at(base) == recs
+
+
+@pytest.mark.parametrize("model", ["star-farr", "star-news"])
+def test_base_index_tracks_mixed_work(model):
+    # loads (some speculative), stores and flushes from three domains
+    # over a footprint four times the L2, so every removal path runs
+    h = _hier(model, l1_lines=32, l1_assoc=4, l2_lines=128, l2_assoc=4)
+    rng = Rng(31)
+    for step in range(3000):
+        addr = 0x100_0000 + 64 * rng.choose(512)
+        dom = rng.choose(3)
+        r = rng.choose(10)
+        if r < 3:
+            h.store(addr, dom)
+        elif r < 4:
+            h.flush(addr, dom)
+        else:
+            h.load(addr, dom, spec_bit=int(r == 9))
+        if step % 50 == 0:
+            _index_matches_scan(h.l1)
+    _index_matches_scan(h.l1)

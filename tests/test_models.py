@@ -312,3 +312,48 @@ def test_sfill_wrong_domain_treated_as_absent():
 def test_lru_rejects_extra_index_bits():
     with pytest.raises(ValueError):
         SetAssocLru(CacheGeometry(64, 8, 2, 2), 1, _Lower())
+
+
+# -- shared hit outcome and base index --
+
+def test_hit_outcome_is_shared_and_immutable():
+    for make in (_lru, _farr, _news):
+        c = make()
+        miss = c.access(Op.LOAD, 0x1000, 0, 0)
+        hit = c.access(Op.LOAD, 0x1000, 0, 0)
+        assert c.access(Op.STORE, 0x1004, 0, 0, 7) is hit
+        assert hit == (AccessKind.HIT, 1, 1, None)
+        for outcome in (hit, miss):
+            with pytest.raises(AttributeError):
+                outcome.latency = 5
+            with pytest.raises(AttributeError):
+                outcome.kind = AccessKind.MISS_FILLED
+        assert c.access(Op.LOAD, 0x1000, 0, 0).latency == 1
+
+
+def test_lines_at_lists_every_copy_in_slot_order():
+    c = _farr(lines=8)
+    for dom in (2, 0, 1):
+        c.access(Op.LOAD, 0x1000, dom, 0)
+    assert [r.domain for r in c.lines_at(0x1000)] == [2, 0, 1]
+    assert c.contains_addr(0x1000) and not c.contains_addr(0x2000)
+    c.flush_line(0x1000, 0)
+    assert [r.domain for r in c.lines_at(0x1000)] == [2, 1]
+    c.access(Op.LOAD, 0x1000, 3, 0)        # reuses the freed slot 1
+    assert [r.domain for r in c.lines_at(0x1000)] == [2, 3, 1]
+    assert c.lines_at(0x2000) == []
+    lru = _lru()
+    lru.access(Op.LOAD, 0x1000, 1, 0)
+    assert [r.base for r in lru.lines_at(0x1000)] == [0x1000]
+    assert lru.lines_at(0x2000) == []
+
+
+def test_news_conflict_moves_the_slot_to_the_new_base():
+    c = _news(lines=8, k=2)
+    conflict_bit = c.geom.offset_bits + c.geom.index_bits
+    a = 0x1000
+    b = a ^ (1 << conflict_bit)
+    c.access(Op.LOAD, a, 0, 0)
+    c.access(Op.LOAD, b, 0, 0)             # replaces a in place
+    assert not c.contains_addr(a)
+    assert [r.base for r in c.lines_at(b)] == [b]

@@ -113,6 +113,15 @@ def test_synth_rejects_bad_input():
         synth_trace("zigzag", 100, 1)
     with pytest.raises(ValueError):
         synth_trace("uniform-random", 0, 1)
+    for bad in (dict(p_squash=-0.1), dict(p_squash=1.01),
+                dict(store_fraction=2.0), dict(footprint_lines=0),
+                dict(domains=0), dict(domains=256)):
+        with pytest.raises(ValueError):
+            synth_trace("uniform-random", 100, 1, **bad)
+    ids = {e.domain for e in synth_trace("uniform-random", 2000, 1,
+                                         domains=255)
+           if e.kind is EventKind.LOAD}
+    assert max(ids) == 254          # below the reserved DOMAIN_NONE
 
 
 def test_synth_deterministic_per_seed():
