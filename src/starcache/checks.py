@@ -60,7 +60,7 @@ def farr_victim_histogram(events: int, seed: int,
     for j in range(events):
         addr = base + 64 * (lines + j)
         hier.load(addr, 0)
-        hist[hier.l1._where[(addr, 0)]] += 1
+        hist[hier.l1._keys[(addr, 0)]] += 1
     return hist
 
 
@@ -80,7 +80,7 @@ def news_victim_histogram(events: int, seed: int) -> np.ndarray:
         addr = base + 64 * (j % lines)
         hier.load(addr, domain)
         index = (addr >> 6) & index_mask
-        hist[hier.l1._map[(domain, index)]] += 1
+        hist[hier.l1._keys[(domain, index)]] += 1
     return hist
 
 

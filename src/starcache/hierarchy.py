@@ -322,11 +322,11 @@ class Hierarchy:
                 f"speculative L2 line 0x{rec.base:x} is dirty"
         if isinstance(self.l1, NewsCache):
             seen = set()
-            for (dom, idx), slot in self.l1._map.items():
+            for (dom, idx), slot in self.l1._keys.items():
                 rec = self.l1._slots[slot]
                 assert rec is not None and rec.domain == dom and rec.index == idx, \
                     "mapping entry points at the wrong line"
                 assert slot not in seen
                 seen.add(slot)
             valid = sum(1 for r in self.l1._slots if r is not None)
-            assert len(self.l1._map) == valid, "mapping entry per valid line"
+            assert len(self.l1._keys) == valid, "mapping entry per valid line"

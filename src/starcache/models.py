@@ -233,12 +233,11 @@ class _SlotCache:
     """Slot array, free list, key map and base index shared by the two
     random-slot designs.
 
-    Each subclass looks lines up through its own key map (self._keys,
-    key -> slot, keyed by _key(rec)).  The base index self._at maps a
-    line base to the slots holding a copy of it, in the order they were
-    filled; lines_at sorts them, because back-invalidation must free
-    slots in ascending order to keep later fills where they always
-    landed.
+    Lookups go through self._keys, which maps the subclass's _key(rec)
+    to a slot.  The base index self._at maps a line base to the slots
+    holding a copy of it, in the order they were filled; lines_at sorts
+    them, because back-invalidation must free slots in ascending order
+    to keep later fills where they always landed.
     """
 
     # fault-injection hook for the self test: chooses slot 0 forever
@@ -256,8 +255,8 @@ class _SlotCache:
         self._line_mask = ~(geometry.line_size - 1)
         self._slots: list[CacheLineMeta | None] = [None] * n
         self._free = list(range(n - 1, -1, -1))
-        self._keys: dict = {}
-        self._at: dict[int, list[int]] = {}        # base -> slots
+        self._keys: dict[tuple[int, int], int] = {}   # _key(rec) -> slot
+        self._at: dict[int, list[int]] = {}           # base -> slots
         self._hit = AccessOutcome(_HIT, hit_cycles, 1)
         self.inval_dropped_case_i = 0
 
@@ -330,7 +329,8 @@ class _SlotCache:
         self._free.pop()
         return slot, victim
 
-    def _drop_spec_line(self, slot: int | None, source_level: int) -> SFillAction:
+    def _drop_spec_line(self, slot: int | None,
+                        source_level: int) -> SFillAction:
         """Squash invalidation for the line in slot (None: not here)."""
         if slot is not None:
             rec = self._slots[slot]
@@ -352,20 +352,20 @@ class FarrCache(_SlotCache):
                  rng: Rng, level: int = 1, deterministic_victim: bool = False):
         super().__init__(geometry, hit_cycles, lower, rng, level)
         self.deterministic_victim = deterministic_victim
-        self._where = self._keys                   # (base, domain) -> slot
 
     @staticmethod
     def _key(rec: CacheLineMeta):
+        # domain-gated lookup: one copy per (line base, domain)
         return rec.base, rec.domain
 
     def find(self, addr: int, domain: int) -> CacheLineMeta | None:
-        slot = self._where.get((addr & self._line_mask, domain))
+        slot = self._keys.get((addr & self._line_mask, domain))
         return None if slot is None else self._slots[slot]
 
     def access(self, op: Op, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
         base = addr & self._line_mask
-        slot = self._where.get((base, domain))
+        slot = self._keys.get((base, domain))
         if slot is not None:
             rec = self._slots[slot]
             if not spec_bit:
@@ -389,13 +389,13 @@ class FarrCache(_SlotCache):
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool = True) -> CacheLineMeta | None:
         # domain-checked design: a flush can only ever see its own lines
-        slot = self._where.get((addr & self._line_mask, domain))
+        slot = self._keys.get((addr & self._line_mask, domain))
         return None if slot is None else self._release(slot)
 
     def handle_sfill_inv(self, addr: int, domain: int,
                          source_level: int) -> SFillAction:
         return self._drop_spec_line(
-            self._where.get((addr & self._line_mask, domain)), source_level)
+            self._keys.get((addr & self._line_mask, domain)), source_level)
 
 
 class NewsCache(_SlotCache):
@@ -421,16 +421,16 @@ class NewsCache(_SlotCache):
         self._offset_bits = geometry.offset_bits
         self._index_mask = (1 << geometry.index_bits) - 1
         self._tag_shift = geometry.offset_bits + geometry.index_bits
-        self._map = self._keys                     # (domain, index) -> slot
         self.tagmiss_forward_nofill = 0
 
     @staticmethod
     def _key(rec: CacheLineMeta):
+        # the mapping entry: one line per (domain, index)
         return rec.domain, rec.index
 
     def _slot_of(self, addr: int, domain: int) -> int | None:
         """Slot holding addr's line for domain: mapping and tag match."""
-        slot = self._map.get((domain, (addr >> self._offset_bits)
+        slot = self._keys.get((domain, (addr >> self._offset_bits)
                               & self._index_mask))
         if slot is None or self._slots[slot].tag != addr >> self._tag_shift:
             return None
@@ -441,13 +441,13 @@ class NewsCache(_SlotCache):
         return None if slot is None else self._slots[slot]
 
     def mapping_entries(self):
-        return [MappingEntry(d, i) for (d, i) in self._map]
+        return [MappingEntry(d, i) for (d, i) in self._keys]
 
     def access(self, op: Op, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
         index = (addr >> self._offset_bits) & self._index_mask
         tag = addr >> self._tag_shift
-        slot = self._map.get((domain, index))
+        slot = self._keys.get((domain, index))
         if slot is not None:
             rec = self._slots[slot]
             if rec.tag == tag:
@@ -462,7 +462,7 @@ class NewsCache(_SlotCache):
         data, source, below = self.lower.fetch(addr, domain, spec_bit)
         # the fetch may have recalled lines (an L2 eviction), so take a
         # fresh look at who owns the mapping entry now
-        slot = self._map.get((domain, index))
+        slot = self._keys.get((domain, index))
 
         if slot is not None:
             # mapping hit, tag miss: a same-domain line owns this index
