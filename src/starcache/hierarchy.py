@@ -310,9 +310,7 @@ class Hierarchy:
         for base, recs in by_base.items():
             assert self.l1.contains_addr(base), \
                 f"base index lost L1 line 0x{base:x}"
-            found = self.l1.lines_at(base)
-            assert len(found) == len(recs) and all(
-                a is b for a, b in zip(found, recs)), \
+            assert self.l1.lines_at(base) == recs, \
                 f"base index disagrees with the L1 lines at 0x{base:x}"
         if not isinstance(self.l1, SetAssocLru):
             assert self.l1._at.keys() == by_base.keys(), \
