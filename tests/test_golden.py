@@ -40,8 +40,16 @@ def _cases() -> dict:
         cases[f"attack-pp-spectre-{model}"] = [
             "attack", "pp-spectre", *m, "--trials", "3", "--seed", "8",
             "--secret", "200"]
+        cases[f"attack-fr-spectre-skip-{model}"] = [
+            "attack", "fr-spectre", *m, "--trials", "4", "--seed", "15",
+            "--secret", "42", "--skip-wrong-path"]
+        cases[f"attack-pp-spectre-skip-{model}"] = [
+            "attack", "pp-spectre", *m, "--trials", "3", "--seed", "16",
+            "--secret", "17", "--cross-domain", "--skip-wrong-path"]
         cases[f"sweep-fr-spectre-{model}"] = [
             "sweep", "fr-spectre", *m, "--trials", "1", "--seed", "9"]
+        cases[f"sweep-pp-spectre-{model}"] = [
+            "sweep", "pp-spectre", *m, "--trials", "1", "--seed", "10"]
         for profile in ("uniform-random", "pointer-chase", "conflict-heavy",
                         "spec-mix"):
             cases[f"replay-{profile}-{model}"] = [
@@ -49,9 +57,6 @@ def _cases() -> dict:
                 "--seed", "11", "--footprint", "1024", "--domains", "3",
                 "--store-fraction", "0.3", "--p-squash", "0.25",
                 "--config", "small.cfg"]
-    cases["sweep-pp-spectre-star-farr"] = [
-        "sweep", "pp-spectre", "--model", "star-farr", "--trials", "1",
-        "--seed", "10"]
     # the noisy prime-probe path adds gaussian jitter per probe load
     cases["attack-pp-aes-noise-star-news"] = [
         "attack", "pp-aes", "--model", "star-news", "--trials", "16",
@@ -99,6 +104,24 @@ GOLDEN = {
         "fr-spectre-sa-lru-summary.json":
             "9070c3749800c9cef7345e7d851b53176cd7c553bdf5a5d439264a5c9ad646a4",
     },
+    "attack-fr-spectre-skip-sa-lru": {
+        "fr-spectre-sa-lru-matrix.csv":
+            "a3e7cbecfd06ffacd3b99ef61140420b4fa92eb0b9fe197a592f6718a048c09e",
+        "fr-spectre-sa-lru-summary.json":
+            "42a5e47915d98dbf4c8f6feb53698364989638b4ebedd35cea53bb9bd58884f7",
+    },
+    "attack-fr-spectre-skip-star-farr": {
+        "fr-spectre-star-farr-matrix.csv":
+            "38ad485de7dd140695e103b8e87954708d381a4c51f86ce5a092342aa260db4f",
+        "fr-spectre-star-farr-summary.json":
+            "157836a88954f46ff28960ca87d15d9ae1e9b51df0db9e0a8b252c68c59f0e09",
+    },
+    "attack-fr-spectre-skip-star-news": {
+        "fr-spectre-star-news-matrix.csv":
+            "4f051babf2208f1ce00388841b460573f0b9b111555ccd36b30f6794e1bf711f",
+        "fr-spectre-star-news-summary.json":
+            "f49954739bc2829615e0cb183cabcf621e34f580c67af4c6813b3a0a7bbb94ea",
+    },
     "attack-fr-spectre-star-farr": {
         "fr-spectre-star-farr-matrix.csv":
             "f04f81d60ef226250f55d74b9d5d8b33e0522ca678718af80a9706413cc70c05",
@@ -140,6 +163,24 @@ GOLDEN = {
             "441449dd8f7a40cb28ffb3cec368c8eeced411fc7a9ef427476ef24abb82c277",
         "pp-spectre-sa-lru-summary.json":
             "d01b9df503905b174ad3f151371cae575d6afac21c08d8646f3f44a450e172bd",
+    },
+    "attack-pp-spectre-skip-sa-lru": {
+        "pp-spectre-sa-lru-matrix.csv":
+            "7773d4abe0e7190c3562d24041f62607a12d5d8d00391dfe7cc9438dea03eabd",
+        "pp-spectre-sa-lru-summary.json":
+            "88e3d8af858264f56b62e10b33cc14f4efcbc40c9444069dd96875002a02df77",
+    },
+    "attack-pp-spectre-skip-star-farr": {
+        "pp-spectre-star-farr-matrix.csv":
+            "3a52f596a7f085c16d0f6d3f7d62d3332294786b825d593f6d5730658b7f94e0",
+        "pp-spectre-star-farr-summary.json":
+            "79f7f49c2c03597cd33789aedda26ae73558a1e9dbc31796af682f9204c0c542",
+    },
+    "attack-pp-spectre-skip-star-news": {
+        "pp-spectre-star-news-matrix.csv":
+            "2adcdf37ce60e97497fa9520390cca884214854c82223e4407bea56fc0f90a89",
+        "pp-spectre-star-news-summary.json":
+            "d55bae8f3d9914a0a6be4e2a4a51c4e0ae99fec863a9c3b210ad97047917c176",
     },
     "attack-pp-spectre-star-farr": {
         "pp-spectre-star-farr-matrix.csv":
@@ -229,6 +270,14 @@ GOLDEN = {
         "fr-spectre-sweep-star-news-summary.json":
             "7e4d42d4481403f699948b7f6322e4492b5db7c645fc1c2c2cc4dc25f2eb480a",
     },
+    "sweep-pp-spectre-sa-lru": {
+        "pp-spectre-sweep-sa-lru-matrix.csv":
+            "99ed57f296935ee23bf1b4f62db5b39f3ef56c23b06ff64c57350d522930bf00",
+        "pp-spectre-sweep-sa-lru-secrets.csv":
+            "7138ee5bb72a25deda19198ff18ee1e1851c5a41e737571e6d716315425813fc",
+        "pp-spectre-sweep-sa-lru-summary.json":
+            "24f2b73777cda8413814a6d996c2d87455ed74b3888eb55361c6bfbf479fb8de",
+    },
     "sweep-pp-spectre-star-farr": {
         "pp-spectre-sweep-star-farr-matrix.csv":
             "1116797b954133c9f6eb414e3f5c2db7e74d5e82a2ae866774873e673faf98be",
@@ -236,6 +285,14 @@ GOLDEN = {
             "5cd1fc45309382171743e3fee85bc3df4e7d674c2b08cf4eb2ac568e7191207a",
         "pp-spectre-sweep-star-farr-summary.json":
             "51e2747de62415657e4b87e4e9fadfd6a9365154c273eff4d5e38ed2a2720acd",
+    },
+    "sweep-pp-spectre-star-news": {
+        "pp-spectre-sweep-star-news-matrix.csv":
+            "0bb702818f2836863e6aa780623d292dff71a85b98e53d19bf58bda224526b2c",
+        "pp-spectre-sweep-star-news-secrets.csv":
+            "684f67b0baba49b3b1ee33f55029a951c8832cec46fd355d2bd01293ef768f60",
+        "pp-spectre-sweep-star-news-summary.json":
+            "efcf66d0225f36fa80a0284d1367bf1970cd2cfd06385a655959831beb5a23de",
     },
 }
 
