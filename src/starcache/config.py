@@ -37,7 +37,6 @@ class RunConfig:
     l1_hit_cycles: int = 1
     l2_hit_cycles: int = 12
     memory_cycles: int = 100
-    mshr_entries: int = 16
     seed: int = 1
     trials: int | None = None            # None: the harness default
     window_capacity: int = 64
@@ -60,8 +59,6 @@ class RunConfig:
         for name in ("l1_hit_cycles", "l2_hit_cycles", "memory_cycles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if self.mshr_entries < 1:
-            raise ConfigError("mshr_entries must be at least 1")
         if self.window_capacity < 1:
             raise ConfigError("window_capacity must be at least 1")
         if self.trials is not None and self.trials < 1:
@@ -99,9 +96,10 @@ class RunConfig:
 
     def build_hierarchy(self, rng: Rng, **model_tweaks) -> Hierarchy:
         return Hierarchy(self.model, self.l1_geometry(), self.l2_geometry(),
-                         rng, self.l1_hit_cycles, self.l2_hit_cycles,
-                         self.memory_cycles, self.mshr_entries,
-                         self.debug_checks, **model_tweaks)
+                         rng, l1_hit_cycles=self.l1_hit_cycles,
+                         l2_hit_cycles=self.l2_hit_cycles,
+                         memory_cycles=self.memory_cycles,
+                         debug_checks=self.debug_checks, **model_tweaks)
 
     def echo_items(self) -> list[tuple[str, str]]:
         """Stable key/value pairs for output file headers."""

@@ -15,7 +15,6 @@ the squashed load's data came from below level n.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .core import CacheGeometry, FlatMemory, Rng
@@ -51,49 +50,6 @@ class SFillInvRequest:
                 f"invalidation carries source level 2 or 3, got {self.source_level}")
 
 
-class Mshr:
-    """Miss status holding registers.
-
-    Entries are keyed by (line base, domain); a request merges into an
-    in-flight entry only when both match, so one domain can never ride
-    another domain's pending miss.  When all entries are busy the next
-    miss waits stall_penalty cycles for the oldest entry to retire.
-    """
-
-    def __init__(self, capacity: int = 16, stall_penalty: int = 1):
-        if capacity < 1:
-            raise ValueError("MSHR needs at least one entry")
-        self.capacity = capacity
-        self.stall_penalty = stall_penalty
-        self.pending: OrderedDict[tuple[int, int], int] = OrderedDict()
-        self.merges = 0
-        self.stalls = 0
-
-    def begin(self, base: int, domain: int) -> tuple[bool, int]:
-        key = (base, domain)
-        if key in self.pending:
-            self.pending[key] += 1
-            self.merges += 1
-            return True, 0
-        stall = 0
-        if len(self.pending) >= self.capacity:
-            self.stalls += 1
-            stall = self.stall_penalty
-            self.pending.popitem(last=False)    # oldest retires while we wait
-        self.pending[key] = 1
-        return False, stall
-
-    def end(self, base: int, domain: int) -> None:
-        key = (base, domain)
-        n = self.pending.get(key)
-        if n is None:
-            raise KeyError(f"no pending miss for {key}")
-        if n == 1:
-            del self.pending[key]
-        else:
-            self.pending[key] = n - 1
-
-
 class _MemoryPort:
     """Bottom of the stack: line fetches and write-backs against flat
     memory."""
@@ -114,20 +70,15 @@ class _MemoryPort:
 class _L2Port:
     """L1's view of the rest of the hierarchy."""
 
-    __slots__ = ("l2", "mshr", "line_mask")
+    __slots__ = ("l2",)
 
-    def __init__(self, l2: SetAssocLru, mshr: Mshr, line_size: int):
+    def __init__(self, l2: SetAssocLru):
         self.l2 = l2
-        self.mshr = mshr
-        self.line_mask = ~(line_size - 1)
 
     def fetch(self, addr: int, domain: int, spec_bit: int):
-        base = addr & self.line_mask
-        merged, stall = self.mshr.begin(base, domain)
-        out = self.l2.access(_LOAD, addr, domain, spec_bit)
-        self.mshr.end(base, domain)
-        rec = self.l2.find(addr)
-        return rec.data, 2 if out.kind is _HIT else 3, out.latency + stall
+        l2 = self.l2
+        out = l2.access(_LOAD, addr, domain, spec_bit)
+        return l2.find(addr).data, 2 if out.kind is _HIT else 3, out.latency
 
     def writeback(self, base: int, domain: int, data) -> None:
         rec = self.l2.find(base)
@@ -142,8 +93,7 @@ class Hierarchy:
     def __init__(self, model: str, l1_geometry: CacheGeometry,
                  l2_geometry: CacheGeometry, rng: Rng,
                  l1_hit_cycles: int = 1, l2_hit_cycles: int = 12,
-                 memory_cycles: int = 100, mshr_entries: int = 16,
-                 debug_checks: bool = False,
+                 memory_cycles: int = 100, debug_checks: bool = False,
                  farr_deterministic_victim: bool = False,
                  news_fill_on_spec_tagmiss: bool = False):
         for name, lat in (("l1_hit_cycles", l1_hit_cycles),
@@ -157,14 +107,12 @@ class Hierarchy:
         self.rng = rng
         self.debug_checks = debug_checks
         self.memory = FlatMemory(l1_geometry.line_size)
-        self.mshr = Mshr(mshr_entries)
-        self._line_mask = ~(l1_geometry.line_size - 1)
 
         self.l2 = SetAssocLru(l2_geometry, l2_hit_cycles,
                               _MemoryPort(self.memory, memory_cycles),
                               secure_inval=(model != "sa-lru"), level=2)
         self.l2.on_evict = self._back_invalidate
-        port = _L2Port(self.l2, self.mshr, l1_geometry.line_size)
+        port = _L2Port(self.l2)
         if model == "sa-lru":
             self.l1 = SetAssocLru(l1_geometry, l1_hit_cycles, port,
                                   secure_inval=False, level=1)

@@ -1,5 +1,6 @@
 import pytest
 
+from starcache.cli import main
 from starcache.config import (ConfigError, RunConfig, env_overrides,
                               load_config, parse_config_file)
 
@@ -68,7 +69,7 @@ def test_missing_config_file():
     ({"k": 2}, "k only applies to star-news"),
     ({"model": "star-news", "k": 17}, "k must be 0..16"),
     ({"memory_cycles": 0}, "at least 1"),
-    ({"mshr_entries": 0}, "mshr_entries"),
+    ({"window_capacity": 0}, "window_capacity"),
     ({"trials": 0}, "trials must be positive"),
     ({"seed": -1}, "non-negative"),
     ({"vote_threshold": 0.0}, "vote_threshold"),
@@ -79,6 +80,21 @@ def test_validation_rejections(kw, fragment):
     with pytest.raises(ConfigError) as info:
         RunConfig(**kw).validate()
     assert fragment in str(info.value)
+
+
+def test_config_file_rejects_mshr_entries(tmp_path):
+    # the MSHR was never modelled beyond one entry, so the key is gone
+    path = tmp_path / "old.conf"
+    path.write_text("mshr_entries = 16\n")
+    with pytest.raises(ConfigError, match="unknown key 'mshr_entries'"):
+        parse_config_file(str(path))
+
+
+def test_cli_exits_2_on_mshr_entries(tmp_path, capsys):
+    path = tmp_path / "old.conf"
+    path.write_text("mshr_entries = 16\n")
+    assert main(["attack", "fr-aes", "--config", str(path)]) == 2
+    assert "starcache: error:" in capsys.readouterr().err
 
 
 def test_effective_k():

@@ -76,221 +76,221 @@ CASES = _cases()
 GOLDEN = {
     "attack-fr-aes-noise-sa-lru": {
         "fr-aes-sa-lru-matrix.csv":
-            "ce9a9b94a88b1edde8fc09c32f87aa03d8171ca256be4151c40ea59ad07f261f",
+            "2081c9419bb7fbede970a64424b542c129f7f916624e1fbdeec78f4f7fb364ea",
         "fr-aes-sa-lru-summary.json":
             "249ac6052548b56ace41fc2ae905753c869419447a4b3124624012ad75587b86",
     },
     "attack-fr-aes-sa-lru": {
         "fr-aes-sa-lru-matrix.csv":
-            "9270480a94469befc40a743fecd945c1634b0588913e832b4809725618affb54",
+            "66e40c6a87b60d84616310546232f3391f612c303ef4329db8d6806346b80cc1",
         "fr-aes-sa-lru-summary.json":
             "6d6cd204153bb4a4228d8c49b37073e1671f348d2e2ce2eee885dc5f48e3719c",
     },
     "attack-fr-aes-star-farr": {
         "fr-aes-star-farr-matrix.csv":
-            "7933594517d35149af629b5d970dc2cf57bf2509ea1dcf1223dcb20419d779e0",
+            "55e4413e5f1b6932deb85e4cc4358b9f8b82dda9d815b11eac703ef5ea47b7f6",
         "fr-aes-star-farr-summary.json":
             "a080fef326fdf2fa882b3ada14daeeee944311d9677d15f641330a8f54ff8fb2",
     },
     "attack-fr-aes-star-news": {
         "fr-aes-star-news-matrix.csv":
-            "805d13fb855dc2ba988c9bb52d4722fd9e254c05ea4674bb166a2e3e39c1c936",
+            "333bf311afa9365f3af3d24cdfe0d40fd4b75d536203df0f64c997a42698c09f",
         "fr-aes-star-news-summary.json":
             "d82f8f5ec3bd69880d997f5e1cf2275b787269d640ba1ccb0548dbdbc55c9a37",
     },
     "attack-fr-spectre-sa-lru": {
         "fr-spectre-sa-lru-matrix.csv":
-            "a6e99fa899283dc30cc2eafd43d5423a504076af74b006724deb759656836b45",
+            "04428c0a3e20c47bb407cf7c8a4bb3393ad16c661a35bc8bffed35758e607547",
         "fr-spectre-sa-lru-summary.json":
             "9070c3749800c9cef7345e7d851b53176cd7c553bdf5a5d439264a5c9ad646a4",
     },
     "attack-fr-spectre-skip-sa-lru": {
         "fr-spectre-sa-lru-matrix.csv":
-            "a3e7cbecfd06ffacd3b99ef61140420b4fa92eb0b9fe197a592f6718a048c09e",
+            "26f289d830a9585d1f8b2664d0280d4a3448d99c005980d9deef3edd6e561bd4",
         "fr-spectre-sa-lru-summary.json":
             "42a5e47915d98dbf4c8f6feb53698364989638b4ebedd35cea53bb9bd58884f7",
     },
     "attack-fr-spectre-skip-star-farr": {
         "fr-spectre-star-farr-matrix.csv":
-            "38ad485de7dd140695e103b8e87954708d381a4c51f86ce5a092342aa260db4f",
+            "7ad069b2f9fd5a8baa8dde5cee4c9f6912031646377ce1552a62c67eeee15022",
         "fr-spectre-star-farr-summary.json":
             "157836a88954f46ff28960ca87d15d9ae1e9b51df0db9e0a8b252c68c59f0e09",
     },
     "attack-fr-spectre-skip-star-news": {
         "fr-spectre-star-news-matrix.csv":
-            "4f051babf2208f1ce00388841b460573f0b9b111555ccd36b30f6794e1bf711f",
+            "0ab153c99f37806a609551ba1183e9cddfdb628effc7ed17ba386005222f08b0",
         "fr-spectre-star-news-summary.json":
             "f49954739bc2829615e0cb183cabcf621e34f580c67af4c6813b3a0a7bbb94ea",
     },
     "attack-fr-spectre-star-farr": {
         "fr-spectre-star-farr-matrix.csv":
-            "f04f81d60ef226250f55d74b9d5d8b33e0522ca678718af80a9706413cc70c05",
+            "fd4fa792eeb34d118a2d070e9f8ceb9e3b15d0dddef9db8533fbdf8f60fd6381",
         "fr-spectre-star-farr-summary.json":
             "77d0a0f00ea932f4cebd3a5889de472e208fceee2ade05d5f7cd815ee67cda00",
     },
     "attack-fr-spectre-star-news": {
         "fr-spectre-star-news-matrix.csv":
-            "8d5ad4139f9d3bc41025960fe7c2a83329831c131d083d3399c03b5dd0bc4e3a",
+            "6198c97a7e4621604ddfc0b9dfbdb99bb70d551832021b77026094804786c00e",
         "fr-spectre-star-news-summary.json":
             "3b0fe70d947ff921617add2efb940d8e846937809b9ab0842c3a2857cede331a",
     },
     "attack-pp-aes-noise-star-news": {
         "pp-aes-star-news-matrix.csv":
-            "87a5dd0d1a5c4c8793bda884867dccb21afb536d1839b1921dabf34cd30a9cff",
+            "4274b6caf0ff44fb2f67864727aedb487ddfab2c4ec19132bc726e828da10a9c",
         "pp-aes-star-news-summary.json":
             "9affe94b70a853bd1e04bfe845697c1df376709eb9db7594ae1f6939b8f860eb",
     },
     "attack-pp-aes-sa-lru": {
         "pp-aes-sa-lru-matrix.csv":
-            "750325de74f8ea98dab16ed9050ad89909331aeca5546692c7c452dc263d2e91",
+            "daee9564c1439300ef58d76c763516418e7473a26e9fd15cfa88046ba98df6a2",
         "pp-aes-sa-lru-summary.json":
             "402e4bede5b741ca786395265782899b778451b003dc0f186de803e046a3655a",
     },
     "attack-pp-aes-star-farr": {
         "pp-aes-star-farr-matrix.csv":
-            "0ecd381d7f4fb2a6fd77490d1c3748d1fc3ee0cf05a07ff89967d354a4a8c41f",
+            "3ff510e43646370f04141862defdcc42d27a095fbebd4725127c7f517b01bde1",
         "pp-aes-star-farr-summary.json":
             "f01fcb6b54c43700299824fc29f5a416a653bb27ebeec263ed3e937c4b4cc1aa",
     },
     "attack-pp-aes-star-news": {
         "pp-aes-star-news-matrix.csv":
-            "9f0a4071f8b9fa683624ddfb86ec27cb3fc2f6b1503d9acf0ef7af957014b59c",
+            "677ac40f79bb926faf3ee2e663576ef98521a4cdcf6093b02bce14c89bae6365",
         "pp-aes-star-news-summary.json":
             "2f48b8101e809665b40c704b975bf391942fe17164007824bebdf0c3298b98a3",
     },
     "attack-pp-spectre-sa-lru": {
         "pp-spectre-sa-lru-matrix.csv":
-            "441449dd8f7a40cb28ffb3cec368c8eeced411fc7a9ef427476ef24abb82c277",
+            "222ba52cd4ad4e193c6fa138a7054c462a832334a4b984243029e21a438636f8",
         "pp-spectre-sa-lru-summary.json":
             "d01b9df503905b174ad3f151371cae575d6afac21c08d8646f3f44a450e172bd",
     },
     "attack-pp-spectre-skip-sa-lru": {
         "pp-spectre-sa-lru-matrix.csv":
-            "7773d4abe0e7190c3562d24041f62607a12d5d8d00391dfe7cc9438dea03eabd",
+            "b58c5998d543b5eb011d8f5884e92fb5a6dff0e6b7aed4cf756698475295ae80",
         "pp-spectre-sa-lru-summary.json":
             "88e3d8af858264f56b62e10b33cc14f4efcbc40c9444069dd96875002a02df77",
     },
     "attack-pp-spectre-skip-star-farr": {
         "pp-spectre-star-farr-matrix.csv":
-            "3a52f596a7f085c16d0f6d3f7d62d3332294786b825d593f6d5730658b7f94e0",
+            "2e34c32090228a23111ee239676cf2d23bb66f874effae3de0a5f5a6087cb72b",
         "pp-spectre-star-farr-summary.json":
             "79f7f49c2c03597cd33789aedda26ae73558a1e9dbc31796af682f9204c0c542",
     },
     "attack-pp-spectre-skip-star-news": {
         "pp-spectre-star-news-matrix.csv":
-            "2adcdf37ce60e97497fa9520390cca884214854c82223e4407bea56fc0f90a89",
+            "eb9bac93efec04db571b9b8290f6a3fa947fa01aa28b9845b0fc355378fe01a7",
         "pp-spectre-star-news-summary.json":
             "d55bae8f3d9914a0a6be4e2a4a51c4e0ae99fec863a9c3b210ad97047917c176",
     },
     "attack-pp-spectre-star-farr": {
         "pp-spectre-star-farr-matrix.csv":
-            "57db4a328fd504ec4637119b95868ba59e7f7ebde6968d7d5ed983459ad15d61",
+            "1b4e97f5c8b84e4936a7d5fae6840a157e82312f00d0bce2e0b2b2144234d463",
         "pp-spectre-star-farr-summary.json":
             "bd54ba260b6370922cb5a8bd7aac77a84a7083d4282c1765981f5c06d5453c22",
     },
     "attack-pp-spectre-star-news": {
         "pp-spectre-star-news-matrix.csv":
-            "369944edb2034de2966e0b8691315c060b82448fe6e93728edddcba96f4a060d",
+            "bf46c4763858307fed492075325202903a042a0397100c9bae0e6c7d68713fe8",
         "pp-spectre-star-news-summary.json":
             "d535776348fbf1533819a86aab873ee98f3fb0c09c34a83c898eb16f7eb8d578",
     },
     "replay-conflict-heavy-sa-lru": {
         "replay-sa-lru.csv":
-            "7b5f4a49f9932d3bd11d11017bcda79a94465726c8531b85d65429eb28a83423",
+            "2c0d8a27375435e487007d9f7b0c74a0f5ae2dbcca9e298a76876045bc375e64",
     },
     "replay-conflict-heavy-star-farr": {
         "replay-star-farr.csv":
-            "35904483bdd8a839e3735462537239630085ca6283c3f59b91af15b3972459d5",
+            "2040c6ee87514f3d29d30fa1219dd9408ff8b2a4576ac17a2e701844b6a68bf7",
     },
     "replay-conflict-heavy-star-news": {
         "replay-star-news.csv":
-            "1ca51bd097d0a6221bf4bdbfdb53debe5784eef573a179865c68869442816ebd",
+            "182c04b3f83ff7aaca0f9efa0bc8460b83f8a1450d50dab769389d253b407a31",
     },
     "replay-pointer-chase-sa-lru": {
         "replay-sa-lru.csv":
-            "f4736b67fe12307c38e8a6d88d10e1690659c778fe39e97ad9653fec32b26447",
+            "1471e9e9458a952b4d1ebff05c9ffb91e5cc90d8bd71505423fbba485b76373c",
     },
     "replay-pointer-chase-star-farr": {
         "replay-star-farr.csv":
-            "c2654decd485c20f1a6c99f56e6719e68ed4c247d06a8e3df86a5383b654f741",
+            "d7e9683214eea8dca39e7869e2638e67d3fc34707ae9fc2d296d6bc303aeb9b8",
     },
     "replay-pointer-chase-star-news": {
         "replay-star-news.csv":
-            "84541caf4b75d99b6a0761c930db90faa4789a6eef1b42e981eb97ad7506823b",
+            "034857e078aa9e4c6a951ef1c77e0ee0cd99a82e6131f94ff95e4698251aafca",
     },
     "replay-spec-mix-sa-lru": {
         "replay-sa-lru.csv":
-            "adf9ee85ec9f34baed0c39eb6f567ab3d915b24217f95addbc96bcbf5b32928d",
+            "47270bde4d9d36d28010c57bcfd91349ce2aafa6adb0faeaf74a922fd7675e1b",
     },
     "replay-spec-mix-star-farr": {
         "replay-star-farr.csv":
-            "6e85ebcc2f7a442872013ae89e6080944f75cabb0b1fe09062adc7c3d02b8fa9",
+            "e42ff9a11a9fb08438576c1d49e2c8aa0fed3125fabfce23ae78d9b3c2115552",
     },
     "replay-spec-mix-star-news": {
         "replay-star-news.csv":
-            "5a779ba6ac5233fa5a283ee3f922b9bcd83c58c6f697f375a4cfa8b8dfbbb670",
+            "c253004d3c4c4b9cc4fc9a682e9bb6e91d568e063b682a7295a7ea1581fd899c",
     },
     "replay-sweep-k-star-news": {
         "replay-star-news-ksweep.csv":
-            "c1582f40cb0a124203bb926d5e176bf09bc55e04fa4ba89f1ac28080dd38d379",
+            "b208831d128213e0ca36879cbdbeed20c227bcdde5d0e0aa5c2f06a0b91005ef",
     },
     "replay-uniform-random-sa-lru": {
         "replay-sa-lru.csv":
-            "57eec6afbe2b7a08200423112c0c4b43c8f0cb96610c0ecbb53ade735d1421ee",
+            "d9d14aa83c80ecad2a1753f8810aee1a5eb099b54b258c42cf6de34f29cddc59",
     },
     "replay-uniform-random-star-farr": {
         "replay-star-farr.csv":
-            "9660061f6911c5f5f2c9e61d390a0c67d0f118f7c1de406063e79e5f44e04f7b",
+            "e165137bac2ecebd3d13cd12f6edb0473b8d54dead8a926295e6ad83fc377d73",
     },
     "replay-uniform-random-star-news": {
         "replay-star-news.csv":
-            "28b7c7a489e319a2aaec35d882fa6d303e8f13ec78945cb5e61054a7dfd88190",
+            "004aeab14600acd4558a19a7c045606a8762a6f678538396beba9c34c8f73c96",
     },
     "sweep-fr-spectre-sa-lru": {
         "fr-spectre-sweep-sa-lru-matrix.csv":
-            "217e50be8c67d712a7be7688a3450a7fee3e1efe35137b7f62ee0d3db5fbae05",
+            "56184b5bae138c594b723237d6f5d9ac29924200fdaaa0142507e14daf049dd0",
         "fr-spectre-sweep-sa-lru-secrets.csv":
-            "892a57ecfb9a7810ca20bb62b046fa4250eabe89357b31f29838cc3f942a2de2",
+            "490a1ee24e6d64eff645160bda643004048942e50c11e69d493fdd80b9320052",
         "fr-spectre-sweep-sa-lru-summary.json":
             "5d58f508224fe04ed6ca43c9d2341daad77599b9e338bccf31844dbc852c028b",
     },
     "sweep-fr-spectre-star-farr": {
         "fr-spectre-sweep-star-farr-matrix.csv":
-            "824d8a03181463fb572446735bd3a4f54c41efa694642f632c0868c188d2d170",
+            "fb3fb396c5ae2eaa319d387d3df19602482e54c6576d7f6bab23249179ee2822",
         "fr-spectre-sweep-star-farr-secrets.csv":
-            "5e214f36fabcd07946418cafccaba68ea9283ec00c7703d0c97f3c882ed76e35",
+            "244e9930b3cf3f2eff093f64c0ee8c16d49cbe285c070a6e0c37a4cb3e044220",
         "fr-spectre-sweep-star-farr-summary.json":
             "db5eed03f52e9998867013b81dfcd95eb34fa0ae69bb413d0d848e2e0b06eac8",
     },
     "sweep-fr-spectre-star-news": {
         "fr-spectre-sweep-star-news-matrix.csv":
-            "52585a58ef39fae43a7831ca2e85ea499f51556271c985e97e122051ff7622e6",
+            "10a0bbafc8f320e7a28a7ec84533cbeefd688296318882f7aab1fd8a13c17a2a",
         "fr-spectre-sweep-star-news-secrets.csv":
-            "759def653c0400ddb4d70c338948f3c972457d6fab7f58093b23b53cb4c7f31a",
+            "5e605633994ad6f9a2e1afd6eef4bea91c87da127454815d4c839223a94d30b5",
         "fr-spectre-sweep-star-news-summary.json":
             "7e4d42d4481403f699948b7f6322e4492b5db7c645fc1c2c2cc4dc25f2eb480a",
     },
     "sweep-pp-spectre-sa-lru": {
         "pp-spectre-sweep-sa-lru-matrix.csv":
-            "99ed57f296935ee23bf1b4f62db5b39f3ef56c23b06ff64c57350d522930bf00",
+            "3f59a2b89cfef26f2fc05b32dc38a1548a8713adb14796da99926dbded4dc8c0",
         "pp-spectre-sweep-sa-lru-secrets.csv":
-            "7138ee5bb72a25deda19198ff18ee1e1851c5a41e737571e6d716315425813fc",
+            "2311edfd188533070ec6020590e2d10ebe5220df57b2024092dce7721799b60d",
         "pp-spectre-sweep-sa-lru-summary.json":
             "24f2b73777cda8413814a6d996c2d87455ed74b3888eb55361c6bfbf479fb8de",
     },
     "sweep-pp-spectre-star-farr": {
         "pp-spectre-sweep-star-farr-matrix.csv":
-            "1116797b954133c9f6eb414e3f5c2db7e74d5e82a2ae866774873e673faf98be",
+            "49d716aae664f7cb8efc48b76947756ac82b5b00531a4c47703a4170885a159b",
         "pp-spectre-sweep-star-farr-secrets.csv":
-            "5cd1fc45309382171743e3fee85bc3df4e7d674c2b08cf4eb2ac568e7191207a",
+            "c1fc5f3a3cee11e9bbdec140495fdceedd32afcf41cbbe321db6716802b53ef5",
         "pp-spectre-sweep-star-farr-summary.json":
             "51e2747de62415657e4b87e4e9fadfd6a9365154c273eff4d5e38ed2a2720acd",
     },
     "sweep-pp-spectre-star-news": {
         "pp-spectre-sweep-star-news-matrix.csv":
-            "0bb702818f2836863e6aa780623d292dff71a85b98e53d19bf58bda224526b2c",
+            "584cb0d1aa5213eb2712e85229b3df46056efcde2322bf9e2e3bf61d5c1e0ec5",
         "pp-spectre-sweep-star-news-secrets.csv":
-            "684f67b0baba49b3b1ee33f55029a951c8832cec46fd355d2bd01293ef768f60",
+            "a001449e1462f01d2c90a0ad15a9bfba4bdede5a0ecbba531f1d3ced647d3454",
         "pp-spectre-sweep-star-news-summary.json":
             "efcf66d0225f36fa80a0284d1367bf1970cd2cfd06385a655959831beb5a23de",
     },

@@ -2,7 +2,7 @@ import pytest
 
 from starcache.config import RunConfig
 from starcache.core import Rng
-from starcache.hierarchy import Hierarchy, Mshr, SFillInvRequest
+from starcache.hierarchy import Hierarchy, SFillInvRequest
 from starcache.models import AccessKind, MemoryRequest, Op
 
 
@@ -206,19 +206,6 @@ def test_counters_add_up():
     for _ in range(2000):
         h.load(0x30_0000 + 64 * rng.choose(700), 0)
     assert h.l1_hits + h.l1_miss_l2 + h.l1_miss_mem == h.loads == 2000
-
-
-def test_mshr_merge_and_stall_accounting():
-    m = Mshr(capacity=2, stall_penalty=3)
-    assert m.begin(0x1000, 0) == (False, 0)
-    assert m.begin(0x1000, 0) == (True, 0)       # same (base, domain)
-    assert m.begin(0x1000, 1) == (False, 0)      # other domain: own entry
-    merged, stall = m.begin(0x3000, 0)           # full: oldest retires
-    assert not merged and stall == 3
-    assert m.merges == 1 and m.stalls == 1
-    m.end(0x3000, 0)
-    with pytest.raises(KeyError):
-        m.end(0x3000, 0)
 
 
 def test_mismatched_line_sizes_rejected():
