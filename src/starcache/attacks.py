@@ -19,7 +19,6 @@ import numpy as np
 from .config import RunConfig
 from .core import Rng
 from .engine import SpecEngine
-from .hierarchy import Hierarchy
 from .observe import (MIN_SCORE_TRIALS, ObservationMatrix, RecoveryResult,
                       leakage_score, noise_floor, recover_byte, recover_nibble)
 
@@ -144,6 +143,13 @@ def _maybe_scores(matrix: ObservationMatrix, rng: Rng):
     return leakage_score(matrix), noise_floor(matrix, seed=rng.next_u64())
 
 
+def _trials_seed(config: RunConfig, trials: int | None, seed: int | None,
+                 default_trials: int) -> tuple[int, int]:
+    """Explicit arguments win, then the config, then the harness default."""
+    return (trials if trials is not None else (config.trials or default_trials),
+            config.seed if seed is None else seed)
+
+
 def _random_block(rng: Rng) -> bytes:
     return bytes(rng.choose(256) for _ in range(KEY_BYTES))
 
@@ -156,8 +162,7 @@ def run_flush_reload_aes(config: RunConfig, key: bytes,
     """Flush the monitored regions, let the victim do one first round,
     reload and time.  Victim and attacker sit in different domains and
     share the table addresses read-only."""
-    trials = trials if trials is not None else (config.trials or FR_AES_TRIALS)
-    seed = config.seed if seed is None else seed
+    trials, seed = _trials_seed(config, trials, seed, FR_AES_TRIALS)
     root = Rng(seed).fork("fr-aes")
     hier = config.build_hierarchy(root.fork("hier"))
     rin = root.fork("inputs")
@@ -202,6 +207,50 @@ def run_flush_reload_aes(config: RunConfig, key: bytes,
                      params={"key": key.hex()})
 
 
+# -- prime-probe geometry --
+
+def pp_experiment_config(config: RunConfig) -> RunConfig:
+    """Two-way L1 keeps set == probed block for the conventional model;
+    the randomized models ignore associativity, so every model runs the
+    same experiment geometry."""
+    if config.l1_assoc == 2:
+        return config
+    return dataclasses.replace(config, l1_assoc=2).validate()
+
+
+def _pp_layout(config: RunConfig):
+    """(by_set, n_sets, cols, prime_addrs, probe) for a prime-probe
+    receiver.  One prime line per L1 line; probe holds (address,
+    column) pairs, the primed lines newest first, each charged to its
+    set on the conventional model and to its own prime position on the
+    randomized ones, which have no attacker-visible sets."""
+    by_set = config.model == "sa-lru"
+    n_sets = config.l1_lines // config.l1_assoc
+    cols = n_sets if by_set else config.l1_lines
+    prime_addrs = [SPECTRE_PRIME_BASE + 64 * i for i in range(config.l1_lines)]
+    probe = [(prime_addrs[i], i % n_sets if by_set else i)
+             for i in range(len(prime_addrs) - 1, -1, -1)]
+    return by_set, n_sets, cols, prime_addrs, probe
+
+
+def _probe(load, probe, vec: np.ndarray, rnoise: Rng | None = None,
+           sigma: float = 0.0) -> None:
+    """Time every probe load (plus jitter when sigma is set) and store
+    the per-column sums in vec.  The sums run in Python floats, in probe
+    order, and reach vec in one assignment."""
+    acc = [0.0] * len(vec)
+    for addr, col in probe:
+        lat = load(addr, ATTACKER_DOMAIN).latency
+        if sigma:
+            lat += rnoise.gauss(0.0, sigma)
+        acc[col] += lat
+    vec[:] = acc
+
+
+def _fold(vec: np.ndarray, n_sets: int) -> np.ndarray:
+    return vec if vec.shape == (n_sets,) else vec.reshape(-1, n_sets).sum(axis=0)
+
+
 # -- AES prime-probe --
 
 def run_prime_probe_aes(config: RunConfig, key: bytes,
@@ -213,21 +262,15 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
     randomized models there are no attacker-visible sets, so each prime
     position is its own column and recovery folds them back onto the
     conventional layout hypothesis."""
-    trials = trials if trials is not None else (config.trials or PP_AES_TRIALS)
-    seed = config.seed if seed is None else seed
+    trials, seed = _trials_seed(config, trials, seed, PP_AES_TRIALS)
     root = Rng(seed).fork("pp-aes")
     hier = config.build_hierarchy(root.fork("hier"))
     rin = root.fork("inputs")
     rnoise = root.fork("noise")
     sigma = config.noise_sigma
 
-    by_set = config.model == "sa-lru"
-    n_sets = config.l1_lines // config.l1_assoc
-    n_lines = config.l1_lines
-    cols = n_sets if by_set else n_lines
+    by_set, n_sets, cols, prime_addrs, probe = _pp_layout(config)
     tables = AesTables(AES_TABLE_BASE, PP_TABLE_STRIDE)
-    prime_addrs = [SPECTRE_PRIME_BASE + 64 * i for i in range(n_lines)]
-    probe = _probe_order(prime_addrs, by_set, n_sets)
     matrices = [ObservationMatrix(256, cols, "input_byte",
                                   "set" if by_set else "prime_position")
                 for _ in range(KEY_BYTES)]
@@ -261,7 +304,11 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
                      params={"key": key.hex()})
 
 
-# -- Spectre v1, flush-reload receiver --
+# -- Spectre v1 --
+#
+# Each receiver has one loop over a list of secrets on one shared
+# hierarchy.  The single-secret runs pass [secret], the sweeps all 256
+# values; the RNG label keeps the two apart.
 
 def _wrong_path(engine: SpecEngine, secret: int, domain: int,
                 enter: bool) -> None:
@@ -274,136 +321,48 @@ def _wrong_path(engine: SpecEngine, secret: int, domain: int,
     engine.squash_from(barrier.id)
 
 
-def _spectre_fr_trial(hier: Hierarchy, engine: SpecEngine, secret: int,
-                      sender_dom: int, vec: np.ndarray,
-                      enter_wrong_path: bool) -> None:
+def _spectre_fr_runs(config: RunConfig, secrets, trials: int, seed: int,
+                     label: str, same_domain: bool, enter_wrong_path: bool):
+    """Per trial: flush the probe blocks, run the wrong path, reload and
+    time.  Returns the root RNG, the matrix and one (recovered, margin)
+    pair per secret."""
+    root = Rng(seed).fork(label)
+    hier = config.build_hierarchy(root.fork("hier"))
+    engine = SpecEngine(hier, config.window_capacity,
+                        config.clear_specbit_on_commit)
+    sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
+    blocks = [SPECTRE_PROBE_BASE + 64 * s for s in range(PROBE_BLOCKS)]
+    matrix = ObservationMatrix(256, PROBE_BLOCKS, "secret", "block")
+    vec = np.empty(PROBE_BLOCKS)
     flush, load = hier.flush, hier.load
-    for s in range(PROBE_BLOCKS):
-        flush(SPECTRE_PROBE_BASE + 64 * s, ATTACKER_DOMAIN)
-    _wrong_path(engine, secret, sender_dom, enter_wrong_path)
-    vec[:] = [load(SPECTRE_PROBE_BASE + 64 * s, ATTACKER_DOMAIN).latency
-              for s in range(PROBE_BLOCKS)]
-
-
-def run_spectre_fr(config: RunConfig, secret: int,
-                   trials: int | None = None, seed: int | None = None,
-                   same_domain: bool = True,
-                   enter_wrong_path: bool = True) -> AttackRun:
-    if not 0 <= secret <= 255:
-        raise ValueError("secret is one byte")
-    trials = trials if trials is not None else (config.trials or SPECTRE_FR_TRIALS)
-    seed = config.seed if seed is None else seed
-    root = Rng(seed).fork("fr-spectre")
-    hier = config.build_hierarchy(root.fork("hier"))
-    engine = SpecEngine(hier, config.window_capacity,
-                        config.clear_specbit_on_commit)
-    sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
-
-    matrix = ObservationMatrix(256, PROBE_BLOCKS, "secret", "block")
-    vec = np.empty(PROBE_BLOCKS)
-    for _ in range(trials):
-        _spectre_fr_trial(hier, engine, secret, sender_dom, vec,
-                          enter_wrong_path)
-        matrix.record(secret, vec, int(np.argmin(vec)))
-
-    recovered, margin = recover_byte(matrix.mean_latency()[secret], "dip",
-                                     config.dip_threshold_cycles)
-    return AttackRun("fr-spectre", config.model, trials, seed, matrix,
-                     recovered=recovered, margin=margin,
-                     params={"secret": secret, "same_domain": same_domain,
-                             "wrong_path": enter_wrong_path})
-
-
-def run_spectre_fr_sweep(config: RunConfig, trials_per_secret: int | None = None,
-                         seed: int | None = None,
-                         same_domain: bool = True) -> SweepRun:
-    """run_spectre_fr over every secret value, one shared hierarchy."""
-    trials_per_secret = trials_per_secret if trials_per_secret is not None \
-        else (config.trials or SPECTRE_FR_TRIALS)
-    seed = config.seed if seed is None else seed
-    root = Rng(seed).fork("fr-spectre-sweep")
-    hier = config.build_hierarchy(root.fork("hier"))
-    engine = SpecEngine(hier, config.window_capacity,
-                        config.clear_specbit_on_commit)
-    sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
-
-    matrix = ObservationMatrix(256, PROBE_BLOCKS, "secret", "block")
-    vec = np.empty(PROBE_BLOCKS)
-    run = SweepRun("fr-spectre", config.model, trials_per_secret, seed, matrix)
-    for secret in range(256):
-        for _ in range(trials_per_secret):
-            _spectre_fr_trial(hier, engine, secret, sender_dom, vec, True)
+    results = []
+    for secret in secrets:
+        for _ in range(trials):
+            for addr in blocks:
+                flush(addr, ATTACKER_DOMAIN)
+            _wrong_path(engine, secret, sender_dom, enter_wrong_path)
+            vec[:] = [load(addr, ATTACKER_DOMAIN).latency for addr in blocks]
             matrix.record(secret, vec, int(np.argmin(vec)))
-        recovered, margin = recover_byte(
-            matrix.mean_latency()[secret], "dip", config.dip_threshold_cycles)
-        run.recovered.append(recovered)
-        run.margins.append(margin)
-    run.score, run.floor = _maybe_scores(matrix, root.fork("floor"))
-    return run
+        results.append(recover_byte(matrix.mean_latency()[secret], "dip",
+                                    config.dip_threshold_cycles))
+    return root, matrix, results
 
 
-# -- Spectre v1, prime-probe receiver --
-
-def pp_experiment_config(config: RunConfig) -> RunConfig:
-    """Two-way L1 keeps set == probed block for the conventional model;
-    the randomized models ignore associativity, so every model runs the
-    same experiment geometry."""
-    if config.l1_assoc == 2:
-        return config
-    return dataclasses.replace(config, l1_assoc=2).validate()
-
-
-def _probe_order(prime_addrs, by_set: bool, n_sets: int) -> list:
-    """(address, column) pairs in probe order: the primed lines newest
-    first, each charged to its set or to its own prime position."""
-    return [(prime_addrs[i], i % n_sets if by_set else i)
-            for i in range(len(prime_addrs) - 1, -1, -1)]
-
-
-def _probe(load, probe, vec: np.ndarray, rnoise: Rng | None = None,
-           sigma: float = 0.0) -> None:
-    """Time every probe load (plus jitter when sigma is set) and store
-    the per-column sums in vec.  The sums run in Python floats, in probe
-    order, and reach vec in one assignment."""
-    acc = [0.0] * len(vec)
-    for addr, col in probe:
-        lat = load(addr, ATTACKER_DOMAIN).latency
-        if sigma:
-            lat += rnoise.gauss(0.0, sigma)
-        acc[col] += lat
-    vec[:] = acc
-
-
-def _fold(vec: np.ndarray, n_sets: int) -> np.ndarray:
-    return vec if vec.shape == (n_sets,) else vec.reshape(-1, n_sets).sum(axis=0)
-
-
-def run_spectre_pp(config: RunConfig, secret: int,
-                   trials: int | None = None, seed: int | None = None,
-                   same_domain: bool = True,
-                   enter_wrong_path: bool = True) -> AttackRun:
-    """Prime-probe Spectre: per trial prime, wrong path, squash, probe.
+def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
+                     label: str, same_domain: bool, enter_wrong_path: bool):
+    """Per trial: prime, wrong path, squash, probe.
 
     The receiver cannot flush, so unrelated eviction peaks stay in the
     measurement; a secret-independent baseline is measured first with
     the sender running its trained in-bounds path on a separate
-    instance, and recovery works on the difference."""
-    if not 0 <= secret <= 255:
-        raise ValueError("secret is one byte")
+    instance, and recovery works on the difference.  Returns what
+    _spectre_fr_runs does."""
     config = pp_experiment_config(config)
-    trials = trials if trials is not None else (config.trials or SPECTRE_PP_TRIALS)
-    seed = config.seed if seed is None else seed
-    root = Rng(seed).fork("pp-spectre")
+    root = Rng(seed).fork(label)
     sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
-
-    by_set = config.model == "sa-lru"
-    n_sets = config.l1_lines // config.l1_assoc
-    cols = n_sets if by_set else config.l1_lines
-    prime_addrs = [SPECTRE_PRIME_BASE + 64 * i for i in range(config.l1_lines)]
-    probe = _probe_order(prime_addrs, by_set, n_sets)
+    by_set, n_sets, cols, prime_addrs, probe = _pp_layout(config)
     vec = np.empty(cols)
 
-    # baseline pass: trained path only, fresh instance
     hier_b = config.build_hierarchy(root.fork("hier-baseline"))
     base_sum = np.zeros(cols)
     for _ in range(trials):
@@ -420,16 +379,62 @@ def run_spectre_pp(config: RunConfig, secret: int,
                         config.clear_specbit_on_commit)
     matrix = ObservationMatrix(256, cols, "secret",
                                "set" if by_set else "prime_position")
-    for _ in range(trials):
-        for addr in prime_addrs:
-            hier.load(addr, ATTACKER_DOMAIN)
-        _wrong_path(engine, secret, sender_dom, enter_wrong_path)
-        _probe(hier.load, probe, vec)
-        matrix.record(secret, vec,
-                      int(np.argmax(_fold(vec, n_sets) - base_fold)))
+    results = []
+    for secret in secrets:
+        for _ in range(trials):
+            for addr in prime_addrs:
+                hier.load(addr, ATTACKER_DOMAIN)
+            _wrong_path(engine, secret, sender_dom, enter_wrong_path)
+            _probe(hier.load, probe, vec)
+            matrix.record(secret, vec,
+                          int(np.argmax(_fold(vec, n_sets) - base_fold)))
+        diff = _fold(matrix.mean_latency()[secret], n_sets) - base_fold
+        results.append(recover_byte(diff, "peak", config.dip_threshold_cycles))
+    return root, matrix, results
 
-    diff = _fold(matrix.mean_latency()[secret], n_sets) - base_fold
-    recovered, margin = recover_byte(diff, "peak", config.dip_threshold_cycles)
+
+def run_spectre_fr(config: RunConfig, secret: int,
+                   trials: int | None = None, seed: int | None = None,
+                   same_domain: bool = True,
+                   enter_wrong_path: bool = True) -> AttackRun:
+    """Flush-reload Spectre for one secret byte."""
+    if not 0 <= secret <= 255:
+        raise ValueError("secret is one byte")
+    trials, seed = _trials_seed(config, trials, seed, SPECTRE_FR_TRIALS)
+    _, matrix, [(recovered, margin)] = _spectre_fr_runs(
+        config, [secret], trials, seed, "fr-spectre", same_domain,
+        enter_wrong_path)
+    return AttackRun("fr-spectre", config.model, trials, seed, matrix,
+                     recovered=recovered, margin=margin,
+                     params={"secret": secret, "same_domain": same_domain,
+                             "wrong_path": enter_wrong_path})
+
+
+def run_spectre_fr_sweep(config: RunConfig, trials_per_secret: int | None = None,
+                         seed: int | None = None,
+                         same_domain: bool = True) -> SweepRun:
+    """run_spectre_fr over every secret value, one shared hierarchy."""
+    trials, seed = _trials_seed(config, trials_per_secret, seed,
+                                SPECTRE_FR_TRIALS)
+    root, matrix, results = _spectre_fr_runs(
+        config, range(256), trials, seed, "fr-spectre-sweep", same_domain, True)
+    return SweepRun("fr-spectre", config.model, trials, seed, matrix,
+                    [r for r, _ in results], [m for _, m in results],
+                    *_maybe_scores(matrix, root.fork("floor")))
+
+
+def run_spectre_pp(config: RunConfig, secret: int,
+                   trials: int | None = None, seed: int | None = None,
+                   same_domain: bool = True,
+                   enter_wrong_path: bool = True) -> AttackRun:
+    """Prime-probe Spectre for one secret byte, on the two-way
+    experiment geometry (pp_experiment_config)."""
+    if not 0 <= secret <= 255:
+        raise ValueError("secret is one byte")
+    trials, seed = _trials_seed(config, trials, seed, SPECTRE_PP_TRIALS)
+    _, matrix, [(recovered, margin)] = _spectre_pp_runs(
+        config, [secret], trials, seed, "pp-spectre", same_domain,
+        enter_wrong_path)
     return AttackRun("pp-spectre", config.model, trials, seed, matrix,
                      recovered=recovered, margin=margin,
                      params={"secret": secret, "same_domain": same_domain,
@@ -441,52 +446,13 @@ def run_spectre_pp_sweep(config: RunConfig, trials_per_secret: int | None = None
                          same_domain: bool = True) -> SweepRun:
     """run_spectre_pp over every secret; the secret-independent baseline
     is measured once and shared."""
-    config = pp_experiment_config(config)
-    trials_per_secret = trials_per_secret if trials_per_secret is not None \
-        else (config.trials or SPECTRE_PP_TRIALS)
-    seed = config.seed if seed is None else seed
-    root = Rng(seed).fork("pp-spectre-sweep")
-    sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
-
-    by_set = config.model == "sa-lru"
-    n_sets = config.l1_lines // config.l1_assoc
-    cols = n_sets if by_set else config.l1_lines
-    prime_addrs = [SPECTRE_PRIME_BASE + 64 * i for i in range(config.l1_lines)]
-    probe = _probe_order(prime_addrs, by_set, n_sets)
-    vec = np.empty(cols)
-
-    hier_b = config.build_hierarchy(root.fork("hier-baseline"))
-    base_sum = np.zeros(cols)
-    for _ in range(trials_per_secret):
-        for addr in prime_addrs:
-            hier_b.load(addr, ATTACKER_DOMAIN)
-        hier_b.load(SPECTRE_ARRAY1_LINE, sender_dom)
-        hier_b.load(SPECTRE_PROBE_BASE + 64 * SPECTRE_INBOUNDS_VALUE, sender_dom)
-        _probe(hier_b.load, probe, vec)
-        base_sum += vec
-    base_fold = _fold(base_sum / trials_per_secret, n_sets)
-
-    hier = config.build_hierarchy(root.fork("hier"))
-    engine = SpecEngine(hier, config.window_capacity,
-                        config.clear_specbit_on_commit)
-    matrix = ObservationMatrix(256, cols, "secret",
-                               "set" if by_set else "prime_position")
-    run = SweepRun("pp-spectre", config.model, trials_per_secret, seed, matrix)
-    for secret in range(256):
-        for _ in range(trials_per_secret):
-            for addr in prime_addrs:
-                hier.load(addr, ATTACKER_DOMAIN)
-            _wrong_path(engine, secret, sender_dom, True)
-            _probe(hier.load, probe, vec)
-            matrix.record(secret, vec,
-                          int(np.argmax(_fold(vec, n_sets) - base_fold)))
-        diff = _fold(matrix.mean_latency()[secret], n_sets) - base_fold
-        recovered, margin = recover_byte(diff, "peak",
-                                         config.dip_threshold_cycles)
-        run.recovered.append(recovered)
-        run.margins.append(margin)
-    run.score, run.floor = _maybe_scores(matrix, root.fork("floor"))
-    return run
+    trials, seed = _trials_seed(config, trials_per_secret, seed,
+                                SPECTRE_PP_TRIALS)
+    root, matrix, results = _spectre_pp_runs(
+        config, range(256), trials, seed, "pp-spectre-sweep", same_domain, True)
+    return SweepRun("pp-spectre", config.model, trials, seed, matrix,
+                    [r for r, _ in results], [m for _, m in results],
+                    *_maybe_scores(matrix, root.fork("floor")))
 
 
 ATTACK_NAMES = ("fr-aes", "pp-aes", "fr-spectre", "pp-spectre")
