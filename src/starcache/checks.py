@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .core import CacheGeometry, FlatMemory, Rng
+from .core import CacheGeometry, Rng
 from .engine import SpecEngine
 from .models import (AccessKind, FarrCache, NewsCache, Op, SetAssocLru,
                      SFillAction)

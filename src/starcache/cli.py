@@ -18,6 +18,7 @@ import sys
 
 from . import attacks, checks
 from .config import ConfigError, RunConfig, load_config
+from .core import Rng
 from .engine import SpecEngine
 from .trace import (PROFILES, ReplayStats, TraceParseError, parse_trace,
                     replay, synth_trace)
@@ -155,7 +156,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _stats_for(cfg: RunConfig, events) -> ReplayStats:
-    hier = cfg.build_hierarchy(cfg.make_rng().fork("replay"))
+    hier = cfg.build_hierarchy(Rng(cfg.seed).fork("replay"))
     engine = SpecEngine(hier, capacity=cfg.window_capacity,
                         clear_specbit_on_commit=cfg.clear_specbit_on_commit)
     return replay(events, hier, engine)

@@ -91,9 +91,6 @@ class RunConfig:
     def l2_geometry(self) -> CacheGeometry:
         return CacheGeometry(self.line_size, self.l2_lines, self.l2_assoc, 0)
 
-    def make_rng(self) -> Rng:
-        return Rng(self.seed)
-
     def build_hierarchy(self, rng: Rng, **model_tweaks) -> Hierarchy:
         return Hierarchy(self.model, self.l1_geometry(), self.l2_geometry(),
                          rng, l1_hit_cycles=self.l1_hit_cycles,

@@ -96,12 +96,6 @@ class CacheGeometry:
             raise ValueError(f"tag 0x{tag:x} wider than {self.tag_bits} bits")
         return (((tag << self.index_bits) | index) << self.offset_bits) | offset
 
-    def line_base(self, addr: int) -> int:
-        self.check_address(addr)
-        return addr & ~(self.line_size - 1)
-
-    def set_index(self, addr: int) -> int:
-        return (addr >> self.offset_bits) % self.set_count
 
 
 # splitmix64 (Steele/Lea/Flood).  Chosen for a tiny, portable core that

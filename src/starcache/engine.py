@@ -18,7 +18,7 @@ those invalidations; execution resumes as soon as they are sent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hierarchy import Hierarchy, MemoryResponse, SFillInvRequest
 
@@ -38,23 +38,21 @@ class WindowEntry:
     executed: bool
     spec_bit: int = 0
     response: MemoryResponse | None = None
-    squashed: bool = False
 
 
 @dataclass(slots=True)
 class SquashReport:
     """Disposition of every load discarded by one squash.
 
-    loads_squashed always equals the sum of the three outcome counts.
+    loads_squashed always equals the sum of the two outcome counts; a
+    squashed load has always executed, because loads execute at issue.
     """
     loads_squashed: int = 0
     sfill_inv_sent: int = 0
     skipped_l1hit: int = 0
-    skipped_unexecuted: int = 0
 
     def check(self) -> None:
-        assert self.loads_squashed == (self.sfill_inv_sent + self.skipped_l1hit
-                                       + self.skipped_unexecuted)
+        assert self.loads_squashed == self.sfill_inv_sent + self.skipped_l1hit
 
 
 class WindowFullError(RuntimeError):
@@ -160,9 +158,9 @@ class SpecEngine:
     def squash_from(self, entry_id: int) -> SquashReport:
         """Discard entry_id and everything younger; the wrong path.
 
-        Executed loads are examined in program order: an L1-hit load is
-        skipped (its line was resident already), any other executed load
-        sends one invalidation stamped with its data's source level.
+        Loads, all executed at issue, are examined in program order: an
+        L1-hit load is skipped (its line was resident already), any other
+        load sends one invalidation stamped with its data's source level.
         """
         pos = self._position(entry_id)
         doomed = self.window[pos:]
@@ -170,16 +168,13 @@ class SpecEngine:
         self.squashes += 1
         report = SquashReport()
         for entry in doomed:
-            entry.squashed = True
             if not entry.executed:
                 self._unexecuted -= 1
             if entry.kind is not EntryKind.LOAD:
                 continue
             report.loads_squashed += 1
             self.loads_squashed += 1
-            if not entry.executed:
-                report.skipped_unexecuted += 1
-            elif entry.response.source_level == 1:
+            if entry.response.source_level == 1:
                 report.skipped_l1hit += 1
             else:
                 self.hier.sfill_inv(SFillInvRequest(

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CacheGeometry, FlatMemory, Rng
-from .models import (AccessKind, AccessOutcome, FarrCache, MemoryRequest,
-                     NewsCache, Op, SetAssocLru, SFillAction)
+from .models import (AccessKind, AccessOutcome, FarrCache, NewsCache, Op,
+                     SetAssocLru, SFillAction)
 
 _LOAD = Op.LOAD
 _STORE = Op.STORE
@@ -174,17 +174,6 @@ class Hierarchy:
         if self.debug_checks:
             self.check_invariants()
         return out
-
-    def access(self, req: MemoryRequest) -> AccessOutcome:
-        if req.op is Op.LOAD:
-            return self.load(req.addr, req.domain, req.spec_bit)
-        if req.op is Op.STORE:
-            if req.spec_bit:
-                raise ValueError("stores never issue speculatively")
-            return self.store(req.addr, req.domain)
-        flushed = self.flush(req.addr, req.domain)
-        return AccessOutcome(AccessKind.HIT if flushed else AccessKind.MISS_FILLED,
-                             0, 1 if flushed else 3)
 
     def flush(self, addr: int, domain: int) -> bool:
         """Invalidate addr's line, writing dirty data back to memory.

@@ -32,16 +32,14 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DOMAIN_NONE, CacheGeometry, Rng
+from .core import CacheGeometry, Rng
 
 
 class Op(enum.Enum):
     LOAD = "load"
     STORE = "store"
-    FLUSH = "flush"
 
 
 class AccessKind(enum.Enum):
@@ -65,14 +63,6 @@ _DROP = SFillAction.DROP
 _PROPAGATE = SFillAction.PROPAGATE
 
 
-@dataclass(slots=True)
-class MemoryRequest:
-    op: Op
-    addr: int
-    domain: int
-    spec_bit: int = 0
-
-
 class AccessOutcome(NamedTuple):
     """Result of one L1 access.
 
@@ -86,12 +76,6 @@ class AccessOutcome(NamedTuple):
     latency: int
     source_level: int
     victim_evicted: int | None = None
-
-
-@dataclass(frozen=True)
-class MappingEntry:
-    domain: int
-    index: int
 
 
 class CacheLineMeta:
@@ -439,9 +423,6 @@ class NewsCache(_SlotCache):
     def find(self, addr: int, domain: int) -> CacheLineMeta | None:
         slot = self._slot_of(addr, domain)
         return None if slot is None else self._slots[slot]
-
-    def mapping_entries(self):
-        return [MappingEntry(d, i) for (d, i) in self._keys]
 
     def access(self, op: Op, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:

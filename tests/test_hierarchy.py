@@ -3,7 +3,7 @@ import pytest
 from starcache.config import RunConfig
 from starcache.core import Rng
 from starcache.hierarchy import Hierarchy, SFillInvRequest
-from starcache.models import AccessKind, MemoryRequest, Op
+from starcache.models import AccessKind
 
 
 def _hier(model="sa-lru", **kw):
@@ -85,19 +85,6 @@ def test_store_explicit_value_does_not_advance_token():
     h.drain()
     line = bytes(h.memory.read_line(0x3000))
     assert line[:2] == bytes([0x55, 0])
-
-
-def test_speculative_store_rejected():
-    h = _hier()
-    with pytest.raises(ValueError):
-        h.access(MemoryRequest(Op.STORE, 0x4000, 0, spec_bit=1))
-
-
-def test_request_dispatch():
-    h = _hier()
-    out = h.access(MemoryRequest(Op.LOAD, 0x5000, 0))
-    assert out.kind is AccessKind.MISS_FILLED
-    assert h.access(MemoryRequest(Op.LOAD, 0x5000, 0)).kind is AccessKind.HIT
 
 
 def test_baseline_flush_crosses_domains():
