@@ -20,10 +20,10 @@ from . import attacks, checks
 from .config import ConfigError, RunConfig, load_config
 from .core import Rng
 from .engine import SpecEngine
+from .models import MODEL_NAMES
 from .trace import (PROFILES, ReplayStats, TraceParseError, parse_trace,
                     replay, synth_trace)
 
-ATTACK_KINDS = ("fr-aes", "pp-aes", "fr-spectre", "pp-spectre")
 SWEEP_KINDS = ("fr-spectre", "pp-spectre")
 
 _CONFIG_FLAGS = ("model", "k", "seed", "trials", "l1_hit_cycles",
@@ -34,7 +34,7 @@ _CONFIG_FLAGS = ("model", "k", "seed", "trials", "l1_hit_cycles",
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="flat key = value config file")
-    p.add_argument("--model", choices=("sa-lru", "star-farr", "star-news"))
+    p.add_argument("--model", choices=MODEL_NAMES)
     p.add_argument("--k", type=int, metavar="BITS",
                    help="extra index bits (star-news only)")
     p.add_argument("--seed", type=int)
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("attack", help="run one attack harness")
-    p.add_argument("kind", choices=ATTACK_KINDS)
+    p.add_argument("kind", choices=attacks.ATTACK_NAMES)
     p.add_argument("--key", default="0" * 32, metavar="HEX32",
                    help="16-byte victim key for the aes harnesses")
     p.add_argument("--secret", type=int, default=30, metavar="BYTE",

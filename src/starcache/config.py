@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, get_args, get_type_hints
 
 from .core import CacheGeometry, Rng
 from .hierarchy import Hierarchy
@@ -113,26 +113,28 @@ class RunConfig:
         return items
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+def _concrete(hint) -> type:
+    """X for an X | None annotation, else the annotation itself."""
+    args = [a for a in get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
+
+
+# field name -> the type a config file or environment value converts to
+_TYPES = {name: _concrete(hint)
+          for name, hint in get_type_hints(RunConfig).items()}
 
 
 def _coerce(name: str, raw: str, where: str):
-    f = _FIELDS[name]
+    base = _TYPES[name]
     text = raw.strip()
-    base = {"model": str, "out_dir": str,
-            "k": int, "trials": int}.get(name, f.type)
-    if base in (int, "int", "int | None"):
-        base = int
-    elif base in (float, "float"):
-        base = float
-    elif base in (bool, "bool"):
+    if base is bool:
         low = text.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{where}: {name} wants a boolean, got {raw!r}")
-    if base is str or base in ("str", "str | None"):
+    if base is str:
         return text
     try:
         return base(text)
@@ -157,7 +159,7 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
         values[key] = _coerce(key, val, f"{path}:{line_no}")
     return values
@@ -170,7 +172,7 @@ def env_overrides(env: Mapping[str, str] | None = None) -> dict:
         if not key.startswith(ENV_PREFIX):
             continue
         field = key[len(ENV_PREFIX):].lower()
-        if field in _FIELDS:
+        if field in _TYPES:
             values[field] = _coerce(field, env[key], key)
     return values
 
@@ -187,7 +189,7 @@ def load_config(path: str | None = None,
         for key, val in overrides.items():
             if val is None:
                 continue
-            if key not in _FIELDS:
+            if key not in _TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = val
     return RunConfig(**merged).validate()

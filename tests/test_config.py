@@ -45,6 +45,21 @@ def test_env_keys_filtered_and_lowercased():
     assert env_overrides(env) == {"model": "star-farr"}
 
 
+def test_values_take_each_field_type():
+    env = {"STARCACHE_K": "3", "STARCACHE_TRIALS": "7",
+           "STARCACHE_NOISE_SIGMA": "1.5", "STARCACHE_OUT_DIR": " res ",
+           "STARCACHE_DEBUG_CHECKS": "on"}
+    values = env_overrides(env)
+    assert values == {"k": 3, "trials": 7, "noise_sigma": 1.5,
+                      "out_dir": "res", "debug_checks": True}
+    assert [type(values[k]) for k in ("k", "trials", "noise_sigma")] \
+        == [int, int, float]
+    with pytest.raises(ConfigError, match="STARCACHE_TRIALS: trials wants int"):
+        env_overrides({"STARCACHE_TRIALS": "many"})
+    with pytest.raises(ConfigError, match="noise_sigma wants float"):
+        env_overrides({"STARCACHE_NOISE_SIGMA": "loud"})
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("model star-news\n", "expected 'key = value'"),
     ("speed = 3\n", "unknown key"),
