@@ -85,6 +85,9 @@ class _L2Port:
         assert rec is not None, "write-back target missing from L2"
         rec.data[:] = data
         rec.dirty = 1
+        # dirty data is architectural: a line filled by a speculative
+        # load that later committed must not stay speculative
+        rec.spec_bit = 0
 
 
 class Hierarchy:
@@ -225,10 +228,7 @@ class Hierarchy:
         for rec in list(self.l1.valid_lines()):
             self.l1.flush_line(rec.base, rec.domain, True)
             if rec.dirty:
-                l2rec = self.l2.find(rec.base)
-                assert l2rec is not None, "inclusion broken during drain"
-                l2rec.data[:] = rec.data
-                l2rec.dirty = 1
+                self.l1.lower.writeback(rec.base, rec.domain, rec.data)
         for rec in list(self.l2.valid_lines()):
             self.l2.invalidate(rec.base)
             if rec.dirty:

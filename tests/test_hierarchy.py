@@ -4,6 +4,7 @@ from starcache.config import RunConfig
 from starcache.core import Rng
 from starcache.hierarchy import Hierarchy, SFillInvRequest
 from starcache.models import AccessKind
+from starcache.trace import parse_trace, replay
 
 
 def _hier(model="sa-lru", **kw):
@@ -296,3 +297,14 @@ def test_base_index_tracks_mixed_work(model):
         if step % 50 == 0:
             _index_matches_scan(h.l1)
     _index_matches_scan(h.l1)
+
+
+@pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
+def test_written_back_l2_line_is_not_speculative(model):
+    # a speculative load fills L2 with spec_bit set; after it commits, a
+    # store dirties the L1 copy, and that copy's eviction writes back
+    # into the L2 line, which must then be dirty and non-speculative
+    h = _hier(model, l1_lines=16, l1_assoc=2, l2_lines=64, debug_checks=True)
+    text = "SPEC_BEGIN\nL 0x1000\nSPEC_END commit\nL 0x1000\nS 0x1000\n"
+    text += "".join(f"L 0x{a:x}\n" for a in range(0x2000, 0x9001, 64))
+    replay(parse_trace(text), h)          # debug checks run after each op
