@@ -11,6 +11,12 @@ which inclusion permits).  An L2 eviction recalls every L1 copy of that
 address.  Squash-time invalidation requests travel strictly downward
 and produce no response; level n forwards one to level n+1 only when
 the squashed load's data came from below level n.
+
+Write-backs go one level down.  A dirty L1 line lands in its L2 line,
+which inclusion keeps resident; that line turns dirty and loses its
+spec_bit, because stored data is architectural.  So speculative lines
+stay clean at both levels, and squash invalidation can drop them
+without a write-back.
 """
 
 from __future__ import annotations
@@ -68,7 +74,9 @@ class _MemoryPort:
 
 
 class _L2Port:
-    """L1's view of the rest of the hierarchy."""
+    """L1's view of the rest of the hierarchy: a miss fetches through L2
+    (filling it from memory on an L2 miss), an eviction writes back into
+    the L2 line."""
 
     __slots__ = ("l2",)
 
@@ -85,9 +93,7 @@ class _L2Port:
         assert rec is not None, "write-back target missing from L2"
         rec.data[:] = data
         rec.dirty = 1
-        # dirty data is architectural: a line filled by a speculative
-        # load that later committed must not stay speculative
-        rec.spec_bit = 0
+        rec.spec_bit = 0    # stored data is architectural
 
 
 class Hierarchy:

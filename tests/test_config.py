@@ -98,7 +98,6 @@ def test_validation_rejections(kw, fragment):
 
 
 def test_config_file_rejects_mshr_entries(tmp_path):
-    # the MSHR was never modelled beyond one entry, so the key is gone
     path = tmp_path / "old.conf"
     path.write_text("mshr_entries = 16\n")
     with pytest.raises(ConfigError, match="unknown key 'mshr_entries'"):
