@@ -169,28 +169,28 @@ class FlatMemory:
     equals one taken after.
     """
 
-    __slots__ = ("line_size", "_offset_mask", "_lines", "_zero")
+    __slots__ = ("line_size", "_line_mask", "_lines", "_zero")
 
     def __init__(self, line_size: int = 64):
         if not _is_pow2(line_size):
             raise ValueError("line_size must be a power of two")
         self.line_size = line_size
-        self._offset_mask = line_size - 1
+        self._line_mask = ~(line_size - 1)
         self._lines: dict[int, bytes] = {}
         self._zero = bytes(line_size)
 
-    def _base(self, addr: int) -> int:
+    def read_line(self, addr: int) -> bytes:
         if not 0 <= addr < ADDRESS_LIMIT:
             raise ValueError(f"address 0x{addr:x} outside the 48-bit space")
-        return addr & ~self._offset_mask
-
-    def read_line(self, addr: int) -> bytes:
-        return self._lines.get(self._base(addr), self._zero)
+        return self._lines.get(addr & self._line_mask, self._zero)
 
     def write_line(self, addr: int, data) -> None:
+        """Store a copy of data; a bytes payload is kept as it is."""
         if len(data) != self.line_size:
             raise ValueError(f"line payload must be {self.line_size} bytes")
-        self._lines[self._base(addr)] = bytes(data)
+        if not 0 <= addr < ADDRESS_LIMIT:
+            raise ValueError(f"address 0x{addr:x} outside the 48-bit space")
+        self._lines[addr & self._line_mask] = bytes(data)
 
     def nonzero_lines(self) -> dict[int, bytes]:
         """Copy of every line that was ever written (zeros included)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .hierarchy import Hierarchy, MemoryResponse, SFillInvRequest
+from .hierarchy import Hierarchy, SFillInvRequest
 
 
 class EntryKind(enum.Enum):
@@ -37,7 +37,7 @@ class WindowEntry:
     domain: int | None
     executed: bool
     spec_bit: int = 0
-    response: MemoryResponse | None = None
+    source_level: int = 0       # where an executed load's data came from
 
 
 @dataclass(slots=True)
@@ -113,8 +113,7 @@ class SpecEngine:
         spec = 1 if self._unexecuted else 0
         out = self.hier.load(addr, domain, spec)
         entry = WindowEntry(self._take_id(), EntryKind.LOAD, addr, domain,
-                            True, spec,
-                            MemoryResponse(out.latency, out.source_level))
+                            True, spec, out.source_level)
         self.window.append(entry)
         self.loads_issued += 1
         return entry
@@ -174,11 +173,11 @@ class SpecEngine:
                 continue
             report.loads_squashed += 1
             self.loads_squashed += 1
-            if entry.response.source_level == 1:
+            if entry.source_level == 1:
                 report.skipped_l1hit += 1
             else:
                 self.hier.sfill_inv(SFillInvRequest(
-                    entry.addr, entry.domain, entry.response.source_level))
+                    entry.addr, entry.domain, entry.source_level))
                 report.sfill_inv_sent += 1
         report.check()
         return report

@@ -17,6 +17,11 @@ which inclusion keeps resident; that line turns dirty and loses its
 spec_bit, because stored data is architectural.  So speculative lines
 stay clean at both levels, and squash invalidation can drop them
 without a write-back.
+
+Line payloads follow the copy-on-write rule in models: an L1 fill
+shares the L2 line's bytes, and the L2 fill shares memory's.  A
+write-back and a flush resync therefore give the L2 line a fresh bytes
+payload rather than writing into the one it holds.
 """
 
 from __future__ import annotations
@@ -30,13 +35,6 @@ from .models import (AccessKind, AccessOutcome, FarrCache, NewsCache, Op,
 _LOAD = Op.LOAD
 _STORE = Op.STORE
 _HIT = AccessKind.HIT
-
-
-@dataclass(slots=True)
-class MemoryResponse:
-    """What the execution engine keeps about a finished access."""
-    latency: int
-    source_level: int
 
 
 @dataclass(slots=True)
@@ -91,7 +89,7 @@ class _L2Port:
     def writeback(self, base: int, domain: int, data) -> None:
         rec = self.l2.find(base)
         assert rec is not None, "write-back target missing from L2"
-        rec.data[:] = data
+        rec.data = bytes(data)
         rec.dirty = 1
         rec.spec_bit = 0    # stored data is architectural
 
@@ -113,9 +111,12 @@ class Hierarchy:
         if l1_geometry.line_size != l2_geometry.line_size:
             raise ValueError("levels must share one line size")
         self.model = model
+        # the hardened models flush only the caller's own copies
+        self._own_only = model != "sa-lru"
         self.rng = rng
         self.debug_checks = debug_checks
         self.memory = FlatMemory(l1_geometry.line_size)
+        self._line_mask = ~(l1_geometry.line_size - 1)
 
         self.l2 = SetAssocLru(l2_geometry, l2_hit_cycles,
                               _MemoryPort(self.memory, memory_cycles),
@@ -189,17 +190,25 @@ class Hierarchy:
 
         The conventional baseline flushes whatever copy is resident, as
         a flush instruction would.  The hardened models only honour the
-        caller's own domain; lines other domains own stay put."""
+        caller's own domain; lines other domains own stay put.  A
+        hardened flush also keeps the L2 line, whoever owns it, while
+        another domain's L1 copy of it remains: inclusion needs it, and
+        recalling that copy would let one domain evict another's line."""
         self.flushes += 1
-        own_only = self.model != "sa-lru"
-        l1rec = self.l1.flush_line(addr, domain, own_only)
-        l2rec = self.l2.flush_line(addr, domain, own_only)
+        own_only = self._own_only
+        l1 = self.l1
+        l1rec = l1.flush_line(addr, domain, own_only)
+        if own_only and l1.contains_addr(addr & self._line_mask):
+            l2rec = None
+        else:
+            l2rec = self.l2.flush_line(addr, domain, own_only)
         if l1rec is not None and l1rec.dirty:
-            self.memory.write_line(l1rec.base, l1rec.data)
-            # keep any cross-domain L2 copy coherent with memory
+            data = bytes(l1rec.data)
+            self.memory.write_line(l1rec.base, data)
+            # keep a surviving L2 copy coherent with memory
             stale = self.l2.find(addr)
             if stale is not None:
-                stale.data[:] = l1rec.data
+                stale.data = data
                 stale.dirty = 0
         elif l2rec is not None and l2rec.dirty:
             self.memory.write_line(l2rec.base, l2rec.data)

@@ -19,9 +19,18 @@ speculative load, cleared by the first non-speculative touch.  Lines
 with spec_bit set are never dirty, which lets squash-time invalidation
 drop them without a write-back.
 
-Hits are the common case, so they allocate nothing: every model returns
-one preallocated, immutable hit outcome, and only misses build a new
-AccessOutcome.  Every model also answers "which lines hold this base?"
+Accesses allocate no outcome: every model returns one preallocated,
+immutable hit outcome, and one shared miss outcome per (kind, source
+level, cycles below), built the first time it is needed.
+
+Line payloads are copy-on-write.  A lower level's fetch returns
+immutable bytes, and a fill keeps that object, so an L1 line, its L2
+line and the memory line may share one buffer; a line takes a private
+bytearray on its first store.  Nothing else writes a payload in place: a write-back into L2
+or a flush resync replaces the L2 payload with fresh bytes.  So a
+shared buffer is never written.
+
+Every model also answers "which lines hold this base?"
 without scanning (lines_at, contains_addr): the set-associative cache
 through its per-set dict, the two random-slot designs through a base
 index from line base to the slots holding a copy, one copy per domain
@@ -67,15 +76,45 @@ class AccessOutcome(NamedTuple):
     """Result of one L1 access.
 
     kind HIT implies source_level 1; the miss kinds carry the level that
-    supplied the data (2 = L2, 3 = memory).  victim_evicted is the base
-    address of a valid line displaced by this access, if any.  Outcomes
-    are immutable: a model hands out the same hit outcome every time.
+    supplied the data (2 = L2, 3 = memory).  Outcomes are immutable: a
+    model hands out the same outcome for every access of one kind that
+    took the same path.
     """
 
     kind: AccessKind
     latency: int
     source_level: int
-    victim_evicted: int | None = None
+
+
+class _MissOutcomes(dict):
+    """The shared outcomes of one miss kind, keyed by below << 2 |
+    source: the cycles the level below took, and the level that supplied
+    the data (2 or 3, so two bits hold it).  Each outcome is built the
+    first time it is looked up."""
+
+    __slots__ = ("kind", "hit_cycles")
+
+    def __init__(self, kind: AccessKind, hit_cycles: int):
+        super().__init__()
+        self.kind = kind
+        self.hit_cycles = hit_cycles
+
+    def __missing__(self, key: int) -> AccessOutcome:
+        out = self[key] = AccessOutcome(self.kind,
+                                        self.hit_cycles + (key >> 2), key & 3)
+        return out
+
+
+def _store(rec: CacheLineMeta, offset: int, value: int) -> None:
+    """Write one byte.  A shared bytes payload is copied to a private
+    bytearray first.  Stores are architectural, so the line turns dirty
+    and non-speculative."""
+    data = rec.data
+    if data.__class__ is bytes:
+        data = rec.data = bytearray(data)
+    data[offset] = value
+    rec.dirty = 1
+    rec.spec_bit = 0
 
 
 class CacheLineMeta:
@@ -120,6 +159,7 @@ class SetAssocLru:
         # per-set OrderedDict keyed by line base; insertion end is MRU
         self._sets = [OrderedDict() for _ in range(geometry.set_count)]
         self._hit = AccessOutcome(_HIT, hit_cycles, 1)
+        self._filled = _MissOutcomes(_FILLED, hit_cycles)
         self.inval_dropped_case_i = 0
         # set by the hierarchy when this cache backs an upper level;
         # called after an eviction so the upper copy can be recalled
@@ -157,27 +197,21 @@ class SetAssocLru:
             if not spec_bit:
                 rec.spec_bit = 0
             if op is _STORE:
-                rec.data[addr - base] = value
-                rec.dirty = 1
+                _store(rec, addr - base, value)
             return self._hit
 
         data, source, below = self.lower.fetch(addr, domain, spec_bit)
-        victim = None
         if len(od) >= self._assoc:
             vbase, vrec = od.popitem(last=False)
             if vrec.dirty:
                 self.lower.writeback(vbase, vrec.domain, vrec.data)
             if self.on_evict is not None:
                 self.on_evict(vbase)
-            victim = vbase
-        rec = CacheLineMeta(base, base >> self._offset_bits, 0, domain,
-                            spec_bit, 0, bytearray(data))
+        rec = od[base] = CacheLineMeta(base, base >> self._offset_bits, 0,
+                                       domain, spec_bit, 0, data)
         if op is _STORE:
-            rec.spec_bit = 0
-            rec.data[addr - base] = value
-            rec.dirty = 1
-        od[base] = rec
-        return AccessOutcome(_FILLED, self.hit_cycles + below, source, victim)
+            _store(rec, addr - base, value)
+        return self._filled[below << 2 | source]
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool) -> CacheLineMeta | None:
@@ -217,11 +251,13 @@ class _SlotCache:
     """Slot array, free list, key map and base index shared by the two
     random-slot designs.
 
-    Lookups go through self._keys, which maps the subclass's _key(rec)
-    to a slot.  The base index self._at maps a line base to the slots
-    holding a copy of it, in the order they were filled; lines_at sorts
-    them, because back-invalidation must free slots in ascending order
-    to keep later fills where they always landed.
+    Lookups go through self._keys, which maps the subclass's lookup key
+    to a slot; the key a slot was filled under is kept beside it, so a
+    release drops it without rebuilding it.  The base index self._at
+    maps a line base to the slots holding a copy of it, in the order
+    they were filled; lines_at sorts them, because back-invalidation
+    must free slots in ascending order to keep later fills where they
+    always landed.
     """
 
     # fault-injection hook for the self test: chooses slot 0 forever
@@ -236,17 +272,16 @@ class _SlotCache:
         self.level = level
         n = geometry.line_count
         self._n = n
+        self._offset_bits = geometry.offset_bits
         self._line_mask = ~(geometry.line_size - 1)
         self._slots: list[CacheLineMeta | None] = [None] * n
+        self._slot_keys: list[tuple[int, int] | None] = [None] * n
         self._free = list(range(n - 1, -1, -1))
-        self._keys: dict[tuple[int, int], int] = {}   # _key(rec) -> slot
+        self._keys: dict[tuple[int, int], int] = {}   # lookup key -> slot
         self._at: dict[int, list[int]] = {}           # base -> slots
         self._hit = AccessOutcome(_HIT, hit_cycles, 1)
+        self._filled = _MissOutcomes(_FILLED, hit_cycles)
         self.inval_dropped_case_i = 0
-
-    @staticmethod
-    def _key(rec: CacheLineMeta):
-        raise NotImplementedError
 
     def contains_addr(self, base: int) -> bool:
         return base in self._at
@@ -261,9 +296,11 @@ class _SlotCache:
     def valid_lines(self):
         return (rec for rec in self._slots if rec is not None)
 
-    def _fill(self, slot: int, rec: CacheLineMeta) -> None:
+    def _fill(self, slot: int, key: tuple[int, int],
+              rec: CacheLineMeta) -> None:
         self._slots[slot] = rec
-        self._keys[self._key(rec)] = slot
+        self._slot_keys[slot] = key
+        self._keys[key] = slot
         at = self._at.get(rec.base)
         if at is None:
             self._at[rec.base] = [slot]
@@ -275,7 +312,7 @@ class _SlotCache:
         the caller owns any write-back of the returned record."""
         rec = self._slots[slot]
         self._slots[slot] = None
-        del self._keys[self._key(rec)]
+        del self._keys[self._slot_keys[slot]]
         at = self._at[rec.base]
         if len(at) == 1:
             del self._at[rec.base]
@@ -284,14 +321,22 @@ class _SlotCache:
         self._free.append(slot)
         return rec
 
-    def _evict_slot(self, slot: int) -> int:
+    def _evict_slot(self, slot: int) -> None:
         rec = self._slots[slot]
         if rec.dirty:
             self.lower.writeback(rec.base, rec.domain, rec.data)
         self._release(slot)
-        return rec.base
 
     def _random_valid_slot(self) -> int | None:
+        """A uniformly random valid slot, None when all are free.
+
+        Draws slots until one is valid.  The loop ends: one slot at
+        least is valid, and the Rng's outputs run through every 64-bit
+        value once per period, so every slot is drawn within one period;
+        the expected number of draws is line_count / valid lines.  A
+        direct draw over the valid slots would consume the stream
+        differently and move every seeded output.
+        """
         if len(self._free) == self._n:
             return None
         if self.deterministic_victim:
@@ -303,15 +348,13 @@ class _SlotCache:
             if self._slots[slot] is not None:
                 return slot
 
-    def _take_slot(self) -> tuple[int, int | None]:
-        """A slot for a new line, invalid slots first, else a random
-        valid one evicted; returns (slot, evicted base or None)."""
-        if self._free:
-            return self._free.pop(), None
+    def _replace_random(self) -> int:
+        """With no slot free: evict a random valid line and return its
+        slot, taken again for the caller's new line."""
         slot = self._random_valid_slot()
-        victim = self._evict_slot(slot)
+        self._evict_slot(slot)
         self._free.pop()
-        return slot, victim
+        return slot
 
     def _drop_spec_line(self, slot: int | None,
                         source_level: int) -> SFillAction:
@@ -328,7 +371,7 @@ class _SlotCache:
 
 class FarrCache(_SlotCache):
     """Fully associative cache, uniform random replacement, domain-checked
-    hits."""
+    hits.  The lookup key is (line base, domain): one copy per domain."""
 
     kind = "star-farr"
 
@@ -337,11 +380,6 @@ class FarrCache(_SlotCache):
         super().__init__(geometry, hit_cycles, lower, rng, level)
         self.deterministic_victim = deterministic_victim
 
-    @staticmethod
-    def _key(rec: CacheLineMeta):
-        # domain-gated lookup: one copy per (line base, domain)
-        return rec.base, rec.domain
-
     def find(self, addr: int, domain: int) -> CacheLineMeta | None:
         slot = self._keys.get((addr & self._line_mask, domain))
         return None if slot is None else self._slots[slot]
@@ -349,26 +387,27 @@ class FarrCache(_SlotCache):
     def access(self, op: Op, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
         base = addr & self._line_mask
-        slot = self._keys.get((base, domain))
+        key = (base, domain)
+        slot = self._keys.get(key)
         if slot is not None:
             rec = self._slots[slot]
             if not spec_bit:
                 rec.spec_bit = 0
             if op is _STORE:
-                rec.data[addr - base] = value
-                rec.dirty = 1
+                _store(rec, addr - base, value)
             return self._hit
 
         data, source, below = self.lower.fetch(addr, domain, spec_bit)
-        slot, victim = self._take_slot()
-        rec = CacheLineMeta(base, base >> self.geom.offset_bits, 0, domain,
-                            spec_bit, 0, bytearray(data))
+        # the fetch may have freed slots (an L2 eviction recalls lines),
+        # so look at the free list only now
+        free = self._free
+        slot = free.pop() if free else self._replace_random()
+        rec = CacheLineMeta(base, base >> self._offset_bits, 0, domain,
+                            spec_bit, 0, data)
+        self._fill(slot, key, rec)
         if op is _STORE:
-            rec.spec_bit = 0
-            rec.data[addr - base] = value
-            rec.dirty = 1
-        self._fill(slot, rec)
-        return AccessOutcome(_FILLED, self.hit_cycles + below, source, victim)
+            _store(rec, addr - base, value)
+        return self._filled[below << 2 | source]
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool = True) -> CacheLineMeta | None:
@@ -402,15 +441,10 @@ class NewsCache(_SlotCache):
         # fault-injection hook: treat the speculative conflict like the
         # non-speculative one (fill anyway)
         self.fill_on_spec_tagmiss = fill_on_spec_tagmiss
-        self._offset_bits = geometry.offset_bits
         self._index_mask = (1 << geometry.index_bits) - 1
         self._tag_shift = geometry.offset_bits + geometry.index_bits
+        self._nofill = _MissOutcomes(_NOFILL, hit_cycles)
         self.tagmiss_forward_nofill = 0
-
-    @staticmethod
-    def _key(rec: CacheLineMeta):
-        # the mapping entry: one line per (domain, index)
-        return rec.domain, rec.index
 
     def _slot_of(self, addr: int, domain: int) -> int | None:
         """Slot holding addr's line for domain: mapping and tag match."""
@@ -428,22 +462,22 @@ class NewsCache(_SlotCache):
                value: int | None = None) -> AccessOutcome:
         index = (addr >> self._offset_bits) & self._index_mask
         tag = addr >> self._tag_shift
-        slot = self._keys.get((domain, index))
+        key = (domain, index)       # the mapping entry
+        slot = self._keys.get(key)
         if slot is not None:
             rec = self._slots[slot]
             if rec.tag == tag:
                 if not spec_bit:
                     rec.spec_bit = 0
                 if op is _STORE:
-                    rec.data[addr - rec.base] = value
-                    rec.dirty = 1
+                    _store(rec, addr - rec.base, value)
                 return self._hit
 
         base = addr & self._line_mask
         data, source, below = self.lower.fetch(addr, domain, spec_bit)
         # the fetch may have recalled lines (an L2 eviction), so take a
         # fresh look at who owns the mapping entry now
-        slot = self._keys.get((domain, index))
+        slot = self._keys.get(key)
 
         if slot is not None:
             # mapping hit, tag miss: a same-domain line owns this index
@@ -452,24 +486,22 @@ class NewsCache(_SlotCache):
                 # line; evict one random valid line instead
                 self.tagmiss_forward_nofill += 1
                 vslot = self._random_valid_slot()
-                victim = self._evict_slot(vslot) if vslot is not None else None
-                return AccessOutcome(_NOFILL, self.hit_cycles + below, source,
-                                     victim)
+                if vslot is not None:
+                    self._evict_slot(vslot)
+                return self._nofill[below << 2 | source]
             # non-speculative conflict replaces the conflicting line in
             # place; the mapping key stays, the tag changes
-            victim = self._evict_slot(slot)
+            self._evict_slot(slot)
             self._free.pop()
         else:
             # mapping miss: fill over a random victim (invalid slots first)
-            slot, victim = self._take_slot()
-        rec = CacheLineMeta(base, tag, index, domain, spec_bit, 0,
-                            bytearray(data))
+            free = self._free
+            slot = free.pop() if free else self._replace_random()
+        rec = CacheLineMeta(base, tag, index, domain, spec_bit, 0, data)
+        self._fill(slot, key, rec)
         if op is _STORE:
-            rec.spec_bit = 0
-            rec.data[addr - base] = value
-            rec.dirty = 1
-        self._fill(slot, rec)
-        return AccessOutcome(_FILLED, self.hit_cycles + below, source, victim)
+            _store(rec, addr - base, value)
+        return self._filled[below << 2 | source]
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool = True) -> CacheLineMeta | None:

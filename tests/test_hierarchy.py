@@ -1,5 +1,6 @@
 import pytest
 
+from starcache.checks import flat_replay_reference
 from starcache.config import RunConfig
 from starcache.core import Rng
 from starcache.hierarchy import Hierarchy, SFillInvRequest
@@ -308,3 +309,75 @@ def test_written_back_l2_line_is_not_speculative(model):
     text = "SPEC_BEGIN\nL 0x1000\nSPEC_END commit\nL 0x1000\nS 0x1000\n"
     text += "".join(f"L 0x{a:x}\n" for a in range(0x2000, 0x9001, 64))
     replay(parse_trace(text), h)          # debug checks run after each op
+
+
+# -- cross-domain flushes and shared line payloads --
+
+@pytest.mark.parametrize("model", ["star-farr", "star-news"])
+def test_hardened_flush_keeps_l2_line_under_another_domains_copy(model):
+    h = _hier(model, l1_lines=16, l1_assoc=2, l2_lines=64)
+    h.load(0x1000, 0)                  # the L2 line belongs to domain 0
+    h.load(0x1000, 1)                  # domain 1's own copy, an L2 hit
+    assert h.flush(0x1000, 0) is True
+    h.check_invariants()
+    assert h.l1.find(0x1000, 0) is None
+    assert h.l1.find(0x1000, 1) is not None
+    assert h.l2.contains_addr(0x1000)
+    # domain 1's copy still has an L2 line to write back into
+    h.store(0x1003, 1, 0x5A)
+    h.drain()
+    assert h.memory.read_line(0x1000)[3] == 0x5A
+
+
+@pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
+def test_multi_domain_write_back_matches_flat_reference(model):
+    # loads and flushes from three domains, stores from domain 0 only:
+    # per-domain copies are not kept coherent, so two domains storing
+    # to one line have no flat reference
+    for t in range(100):
+        h = _hier(model, l1_lines=16, l1_assoc=2, l2_lines=64,
+                  debug_checks=True)
+        rng = Rng(4000 + t)
+        events = []
+        for _ in range(400):
+            addr = 0x40_0000 + 64 * rng.choose(96) + rng.choose(64)
+            r = rng.choose(10)
+            if r < 3:
+                h.store(addr, 0)
+                events.append(("S", addr))
+            elif r < 5:
+                h.flush(addr, rng.choose(3))
+            else:
+                h.load(addr, rng.choose(3))
+        h.drain()
+        got = {b: d for b, d in h.memory.nonzero_lines().items() if any(d)}
+        assert got == flat_replay_reference(events), f"trace {t}"
+
+
+@pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
+def test_store_to_a_shared_fill_leaves_l2_and_memory_alone(model):
+    a = 0x5000
+    h = _hier(model)
+    h.memory.write_line(a, bytes(range(64)))
+    h.load(a, 0)                       # L1 and L2 copies of memory's bytes
+    h.store(a + 2, 0, 0xEE)
+    assert h.l1.find(a, 0).data[2] == 0xEE
+    assert h.l2.find(a).data == bytes(range(64))
+    assert h.memory.read_line(a) == bytes(range(64))
+
+
+@pytest.mark.parametrize("model", ["star-farr", "star-news"])
+def test_write_back_leaves_another_domains_clean_copy_alone(model):
+    a = 0x7000
+    h = _hier(model)
+    h.load(a, 1)                       # domain 1's clean copy
+    h.store(a + 4, 0, 0x99)            # domain 0's dirty copy
+    h.l1.lower.writeback(a, 0, h.l1.find(a, 0).data)   # as an eviction does
+    assert h.l2.find(a).data[4] == 0x99
+    assert h.l1.find(a, 1).data == bytes(64)
+    h.store(a + 5, 0, 0x77)
+    assert h.l2.find(a).data[5] == 0   # the written-back payload is a copy
+    assert h.flush(a, 0) is True       # resyncs the surviving L2 line
+    assert h.l2.find(a).data[4:6] == bytes([0x99, 0x77])
+    assert h.memory.read_line(a)[4:6] == bytes([0x99, 0x77])
+    assert h.l1.find(a, 1).data == bytes(64)

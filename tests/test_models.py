@@ -39,6 +39,10 @@ def _set_stride(cache):
     return 64 * cache.geom.set_count
 
 
+def _bases(cache):
+    return {rec.base for rec in cache.valid_lines()}
+
+
 # -- set-associative LRU --
 
 def test_lru_hit_and_miss_latencies():
@@ -60,8 +64,8 @@ def test_lru_eviction_order():
     c.access(Op.LOAD, a, 0, 0)
     c.access(Op.LOAD, b, 0, 0)
     c.access(Op.LOAD, a, 0, 0)          # a becomes MRU
-    out = c.access(Op.LOAD, d, 0, 0)    # evicts b, the LRU
-    assert out.victim_evicted == b
+    c.access(Op.LOAD, d, 0, 0)          # evicts b, the LRU
+    assert _bases(c) == {a, d}
     assert c.find(a) is not None
     assert c.find(b) is None
     assert c.find(d) is not None
@@ -140,11 +144,15 @@ def test_farr_domain_gated_hits():
 
 def test_farr_fills_invalid_slots_before_evicting():
     c = _farr(lines=8)
+    filled = set()
     for i in range(8):
-        out = c.access(Op.LOAD, 0x1000 + 64 * i, 0, 0)
-        assert out.victim_evicted is None
-    out = c.access(Op.LOAD, 0x9000, 0, 0)
-    assert out.victim_evicted is not None
+        c.access(Op.LOAD, 0x1000 + 64 * i, 0, 0)
+        filled.add(0x1000 + 64 * i)
+        assert _bases(c) == filled          # nothing evicted yet
+    c.access(Op.LOAD, 0x9000, 0, 0)
+    after = _bases(c)
+    assert 0x9000 in after and len(after) == 8
+    assert len(filled - after) == 1         # one earlier line evicted
 
 
 def test_farr_random_victims_spread():
@@ -153,8 +161,10 @@ def test_farr_random_victims_spread():
         c.access(Op.LOAD, 0x1000 + 64 * i, 0, 0)
     victims = set()
     for j in range(60):
-        out = c.access(Op.LOAD, 0x20000 + 64 * j, 0, 0)
-        victims.add(out.victim_evicted)
+        before = _bases(c)
+        c.access(Op.LOAD, 0x20000 + 64 * j, 0, 0)
+        (victim,) = before - _bases(c)
+        victims.add(victim)
     assert len(victims) > 20     # not stuck on one slot
 
 
@@ -162,8 +172,9 @@ def test_farr_deterministic_victim_hook():
     c = _farr(lines=4, deterministic_victim=True)
     for i in range(4):
         c.access(Op.LOAD, 0x1000 + 64 * i, 0, 0)
-    out = c.access(Op.LOAD, 0x2000, 0, 0)
-    assert out.victim_evicted == 0x1000   # always the first valid slot
+    c.access(Op.LOAD, 0x2000, 0, 0)
+    assert c.find(0x1000, 0) is None      # always the first valid slot
+    assert _bases(c) == {0x1040, 0x1080, 0x10C0, 0x2000}
 
 
 def test_farr_spec_bit_rules():
@@ -201,7 +212,7 @@ def test_news_nonspec_conflict_replaces_in_place():
     before = len(list(c.valid_lines()))
     out = c.access(Op.LOAD, b, 0, 0)
     assert out.kind is AccessKind.MISS_FILLED
-    assert out.victim_evicted == a
+    assert _bases(c) == {b}
     assert c.find(a, 0) is None
     assert c.find(b, 0) is not None
     assert len(list(c.valid_lines())) == before    # in place, no growth
@@ -219,7 +230,7 @@ def test_news_spec_conflict_forwards_without_fill():
     assert c.tagmiss_forward_nofill == 1
     assert c.find(b, 0) is None        # left no trace of itself
     # exactly one random eviction happened (a was the only valid line)
-    assert out.victim_evicted == a
+    assert _bases(c) == set()
 
 
 def test_news_fill_on_spec_tagmiss_hook():
@@ -322,13 +333,39 @@ def test_hit_outcome_is_shared_and_immutable():
         miss = c.access(Op.LOAD, 0x1000, 0, 0)
         hit = c.access(Op.LOAD, 0x1000, 0, 0)
         assert c.access(Op.STORE, 0x1004, 0, 0, 7) is hit
-        assert hit == (AccessKind.HIT, 1, 1, None)
+        assert hit == (AccessKind.HIT, 1, 1)
+        assert miss == (AccessKind.MISS_FILLED, 101, 3)
+        # every miss down the same path shares one outcome, loads and
+        # stores alike
+        assert c.access(Op.LOAD, 0x1040, 0, 0) is miss
+        assert c.access(Op.STORE, 0x1080, 0, 0, 1) is miss
         for outcome in (hit, miss):
             with pytest.raises(AttributeError):
                 outcome.latency = 5
             with pytest.raises(AttributeError):
                 outcome.kind = AccessKind.MISS_FILLED
         assert c.access(Op.LOAD, 0x1000, 0, 0).latency == 1
+        assert c.access(Op.LOAD, 0x10C0, 0, 0) == (AccessKind.MISS_FILLED,
+                                                   101, 3)
+
+
+def test_miss_outcomes_are_keyed_by_kind_source_and_latency():
+    c = _news(lines=8, k=2)
+    conflict_bit = c.geom.offset_bits + c.geom.index_bits
+    a = 0x1000
+    b = a ^ (1 << conflict_bit)
+    filled = c.access(Op.LOAD, a, 0, 0)
+    nofill = c.access(Op.LOAD, b, 0, 1)
+    assert nofill == (AccessKind.MISS_FORWARD_NOFILL, 101, 3)
+    assert nofill is not filled
+    c.access(Op.LOAD, a, 0, 0)
+    assert c.access(Op.LOAD, b, 0, 1) is nofill
+    # another source level or latency below gets its own outcome
+    c.lower.fetch = lambda addr, domain, spec_bit: (bytes(64), 2, 12)
+    l2 = c.access(Op.LOAD, 0x7000, 0, 0)
+    assert l2 == (AccessKind.MISS_FILLED, 13, 2)
+    assert c.access(Op.LOAD, 0x7040, 0, 0) is l2
+    assert c.access(Op.LOAD, 0x7080, 0, 0) is not filled
 
 
 def test_lines_at_lists_every_copy_in_slot_order():
