@@ -26,15 +26,15 @@ level, cycles below), built the first time it is needed.
 Line payloads are copy-on-write.  A lower level's fetch returns
 immutable bytes, and a fill keeps that object, so an L1 line, its L2
 line and the memory line may share one buffer; a line takes a private
-bytearray on its first store.  Nothing else writes a payload in place: a write-back into L2
-or a flush resync replaces the L2 payload with fresh bytes.  So a
-shared buffer is never written.
+bytearray on its first store.  Nothing else writes a payload in place:
+a write-back into L2 or a flush resync replaces the L2 payload with
+fresh bytes.  So a shared buffer is never written.
 
-Every model also answers "which lines hold this base?"
-without scanning (lines_at, contains_addr): the set-associative cache
-through its per-set dict, the two random-slot designs through a base
-index from line base to the slots holding a copy, one copy per domain
-at most.  The hierarchy uses it to recall L1 copies when L2 evicts.
+Every model also answers "which lines hold this base?" without
+scanning (lines_at, contains_addr): the set-associative cache through
+its per-set dict, the two random-slot designs through a base index
+from line base to the slots holding a copy, one copy per domain at
+most.  The hierarchy uses it to recall L1 copies when L2 evicts.
 """
 
 from __future__ import annotations
@@ -348,10 +348,9 @@ class _SlotCache:
             if self._slots[slot] is not None:
                 return slot
 
-    def _replace_random(self) -> int:
-        """With no slot free: evict a random valid line and return its
-        slot, taken again for the caller's new line."""
-        slot = self._random_valid_slot()
+    def _reuse(self, slot: int) -> int:
+        """Evict the line in slot and take the slot back for the
+        caller's new line."""
         self._evict_slot(slot)
         self._free.pop()
         return slot
@@ -401,7 +400,7 @@ class FarrCache(_SlotCache):
         # the fetch may have freed slots (an L2 eviction recalls lines),
         # so look at the free list only now
         free = self._free
-        slot = free.pop() if free else self._replace_random()
+        slot = free.pop() if free else self._reuse(self._random_valid_slot())
         rec = CacheLineMeta(base, base >> self._offset_bits, 0, domain,
                             spec_bit, 0, data)
         self._fill(slot, key, rec)
@@ -491,12 +490,12 @@ class NewsCache(_SlotCache):
                 return self._nofill[below << 2 | source]
             # non-speculative conflict replaces the conflicting line in
             # place; the mapping key stays, the tag changes
-            self._evict_slot(slot)
-            self._free.pop()
+            self._reuse(slot)
         else:
             # mapping miss: fill over a random victim (invalid slots first)
             free = self._free
-            slot = free.pop() if free else self._replace_random()
+            slot = (free.pop() if free
+                    else self._reuse(self._random_valid_slot()))
         rec = CacheLineMeta(base, tag, index, domain, spec_bit, 0, data)
         self._fill(slot, key, rec)
         if op is _STORE:
