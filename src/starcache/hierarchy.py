@@ -267,6 +267,9 @@ class Hierarchy:
         if not isinstance(self.l1, SetAssocLru):
             assert self.l1._at.keys() == by_base.keys(), \
                 "base index holds a line base no L1 line has"
+            for key, slot in self.l1._keys.items():
+                assert self.l1._slot_keys[slot] == key, \
+                    "slot key disagrees with the key map"
         for rec in self.l2.valid_lines():
             assert not (rec.spec_bit and rec.dirty), \
                 f"speculative L2 line 0x{rec.base:x} is dirty"

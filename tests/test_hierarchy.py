@@ -267,6 +267,11 @@ def test_invariant_check_catches_a_stale_base_index(model):
     h.l1._at[0x8000].append(7)
     with pytest.raises(AssertionError, match="base index"):
         h.check_invariants()
+    h.l1._at[0x8000].pop()
+    h.check_invariants()
+    h.l1._slot_keys[h.l1._at[0x8000][0]] = (0x9000, 0)
+    with pytest.raises(AssertionError, match="slot key"):
+        h.check_invariants()
 
 
 def _index_matches_scan(l1) -> None:
