@@ -9,7 +9,8 @@ outputs moved and why, or is wrong.
 
 The replay cases shrink both levels through a config file so that L2
 evictions, back-invalidations and dirty write-backs all happen within a
-few thousand events.
+few thousand events.  The replay-file cases read a seeded trace file,
+so they pin parse_trace as well as the replay path.
 """
 
 import hashlib
@@ -18,10 +19,48 @@ import os
 import pytest
 
 from starcache.cli import main
+from starcache.core import Rng
 
 KEY = "0123456789abcdeffedcba9876543210"
 MODELS = ("sa-lru", "star-farr", "star-news")
 SMALL_CACHES = "l1_lines = 64\nl1_assoc = 4\nl2_lines = 256\nl2_assoc = 4\n"
+TRACE_FILE = "input.trace"
+
+
+def _trace_file() -> str:
+    """The replay-file cases' input: a comment and a blank line, domain
+    switches, loads and stores with and without a domain, hex in three
+    spellings, and speculation windows that commit or squash.  Each
+    window runs in one domain, and each domain touches only its own
+    lines, so no squash reaches a line another domain holds a copy of.
+    Three domains of 384 lines each overflow the 256-line L2."""
+    rng = Rng(19)
+    spellings = ("0x{:x}", "{:x}", "0X{:X}")
+    current = 0
+
+    def op_line(op: str, dom: int) -> str:
+        addr = 0x40_0000 + dom * 0x10_0000 + 64 * rng.choose(384) \
+            + rng.choose(64)
+        text = f"{op} {spellings[rng.choose(3)].format(addr)}"
+        return text if dom == current else f"{text} {dom}"
+
+    lines = ["# replay-file fixture, seed 19", ""]
+    for _ in range(1500):
+        r = rng.choose(20)
+        if r == 0:
+            current = rng.choose(3)
+            lines.append(f"DOMAIN_SWITCH {current}")
+        elif r < 5:
+            dom = rng.choose(3)
+            lines.append("SPEC_BEGIN")
+            for _ in range(1 + rng.choose(8)):
+                lines.append(op_line("S" if rng.choose(5) == 0 else "L", dom))
+            lines.append("SPEC_END squash" if rng.choose(4) == 0
+                         else "SPEC_END commit")
+        else:
+            lines.append(op_line("S" if rng.choose(4) == 0 else "L",
+                                 rng.choose(3)))
+    return "\n".join(lines) + "\n"
 
 
 def _cases() -> dict:
@@ -57,6 +96,8 @@ def _cases() -> dict:
                 "--seed", "11", "--footprint", "1024", "--domains", "3",
                 "--store-fraction", "0.3", "--p-squash", "0.25",
                 "--config", "small.cfg"]
+        cases[f"replay-file-{model}"] = [
+            "replay", TRACE_FILE, *m, "--seed", "18", "--config", "small.cfg"]
     # the noisy prime-probe path adds gaussian jitter per probe load
     cases["attack-pp-aes-noise-star-news"] = [
         "attack", "pp-aes", "--model", "star-news", "--trials", "16",
@@ -206,6 +247,18 @@ GOLDEN = {
         "replay-star-news.csv":
             "182c04b3f83ff7aaca0f9efa0bc8460b83f8a1450d50dab769389d253b407a31",
     },
+    "replay-file-sa-lru": {
+        "replay-sa-lru.csv":
+            "113617f39fe5a4d86fb41d02ba25e79c568d07821810877651f42d207ee38053",
+    },
+    "replay-file-star-farr": {
+        "replay-star-farr.csv":
+            "9db688053a9954ee1a3e9b0fd8dee6a0b97ed65ba802f149ae419aa0a5580a9a",
+    },
+    "replay-file-star-news": {
+        "replay-star-news.csv":
+            "2b3a9378b4f37b2614cd702638008b2dd1ac0706781de2d56a6186a21f57637f",
+    },
     "replay-pointer-chase-sa-lru": {
         "replay-sa-lru.csv":
             "1471e9e9458a952b4d1ebff05c9ffb91e5cc90d8bd71505423fbba485b76373c",
@@ -301,6 +354,8 @@ def run_case(name: str) -> dict:
     """Run one case in the current directory; file name -> SHA-256."""
     with open("small.cfg", "w", encoding="utf-8") as fh:
         fh.write(SMALL_CACHES)
+    with open(TRACE_FILE, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_trace_file())
     assert main(CASES[name] + ["--out", "out"]) == 0
     digests = {}
     for fname in sorted(os.listdir("out")):

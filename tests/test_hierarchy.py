@@ -3,6 +3,7 @@ import pytest
 from starcache.checks import flat_replay_reference
 from starcache.config import RunConfig
 from starcache.core import Rng
+from starcache.engine import SpecEngine
 from starcache.hierarchy import Hierarchy, SFillInvRequest
 from starcache.models import AccessKind
 from starcache.trace import parse_trace, replay
@@ -357,6 +358,64 @@ def test_multi_domain_write_back_matches_flat_reference(model):
         h.drain()
         got = {b: d for b, d in h.memory.nonzero_lines().items() if any(d)}
         assert got == flat_replay_reference(events), f"trace {t}"
+
+
+@pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
+def test_speculation_window_write_back_matches_flat_reference(model):
+    # windows that commit or squash between plain operations, replayed
+    # from trace text, all in domain 0; a squashed window's stores never
+    # execute, so the reference sees the committed stores only
+    for t in range(100):
+        h = _hier(model, l1_lines=16, l1_assoc=2, l2_lines=64,
+                  debug_checks=True)
+        rng = Rng(5000 + t)
+        lines, committed = [], []
+
+        def op():
+            addr = 0x40_0000 + 64 * rng.choose(96) + rng.choose(64)
+            return ("S" if rng.choose(10) < 3 else "L", addr)
+
+        while len(lines) < 400:
+            if rng.choose(4) == 0:
+                ops = [op() for _ in range(1 + rng.choose(8))]
+                commit = rng.choose(3) != 0
+                lines.append("SPEC_BEGIN")
+                lines += [f"{o} 0x{a:x}" for o, a in ops]
+                lines.append(f"SPEC_END {'commit' if commit else 'squash'}")
+                if commit:
+                    committed += ops
+            else:
+                o, a = op()
+                lines.append(f"{o} 0x{a:x}")
+                committed.append((o, a))
+        replay(parse_trace("\n".join(lines)), h)
+        h.drain()
+        got = {b: d for b, d in h.memory.nonzero_lines().items() if any(d)}
+        assert got == flat_replay_reference(committed), f"trace {t}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a squash invalidation drops an L2 line that "
+                          "another domain's committed L1 copy still needs")
+@pytest.mark.parametrize("model", ["star-farr", "star-news"])
+def test_squash_keeps_l2_line_under_another_domains_copy(model):
+    a = 0x1000
+    h = _hier(model, l1_lines=16, l1_assoc=2, l2_lines=64)
+    engine = SpecEngine(h)
+    engine.issue_barrier()             # both domains load A speculatively
+    engine.issue_load(a, 0)
+    engine.issue_load(a, 1)
+    engine.commit_all()
+    h.flush(a, 0)                      # L2 stays under domain 1's copy
+    barrier = engine.issue_barrier()
+    engine.issue_load(a, 0)            # an L2 hit on the wrong path
+    engine.squash_from(barrier.id)
+    h.check_invariants()               # inclusion: domain 1's copy in L2
+    h.store(a, 1, 0x5A)
+    for i in range(1, 40):             # evict the dirty copy
+        h.load(a + 0x1000 * i, 1)
+    h.drain()
+    assert h.memory.read_line(a)[0] == 0x5A
 
 
 @pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])

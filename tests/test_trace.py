@@ -19,16 +19,24 @@ def test_parse_basics():
         "DOMAIN_SWITCH 3\n"
         "SPEC_BEGIN\n"
         "L 0x3000\n"
-        "SPEC_END squash\n")
+        "SPEC_END squash\n"
+        "\tS\t0X4a00 2\t\r\n"
+        "#no  space\r\n"
+        "L 0x5000\n")
     kinds = [e.kind for e in events]
     assert kinds == [EventKind.COMMENT, EventKind.LOAD, EventKind.STORE,
                      EventKind.DOMAIN_SWITCH, EventKind.SPEC_BEGIN,
-                     EventKind.LOAD, EventKind.SPEC_END]
+                     EventKind.LOAD, EventKind.SPEC_END, EventKind.STORE,
+                     EventKind.COMMENT, EventKind.LOAD]
+    assert events[0].text == "warmup"
     assert events[1].addr == 0x1000 and events[1].domain is None
     assert events[2].addr == 0x2000 and events[2].domain == 1
     assert events[3].domain == 3
     assert events[6].commit is False
-    assert [e.line_no for e in events] == [1, 2, 3, 4, 5, 6, 7]
+    assert events[7].addr == 0x4A00 and events[7].domain == 2
+    assert events[8].text == "no  space"
+    assert events[9].addr == 0x5000
+    assert [e.line_no for e in events] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
 
 
 def test_parse_blank_lines_skipped():
@@ -37,6 +45,8 @@ def test_parse_blank_lines_skipped():
 
 @pytest.mark.parametrize("text,line,fragment", [
     ("L zz", 1, "bad address"),
+    ("L zz x", 1, "bad address"),
+    ("L 0x1000000000000 x", 1, "48-bit"),
     ("L 0x1000000000000", 1, "48-bit"),
     ("L 0x1000 x", 1, "bad domain"),
     ("L 0x1000 255", 1, "out of range"),
