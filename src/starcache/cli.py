@@ -178,8 +178,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
         source = {"synth": args.synth, "events": args.events,
                   "p_squash": args.p_squash}
     else:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            events = parse_trace(fh.read())
+        try:
+            with open(args.trace, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.trace}: not UTF-8 text ({exc.reason} "
+                              f"at byte {exc.start})") from None
+        events = parse_trace(text)
         source = {"trace": os.path.basename(args.trace)}
 
     if args.sweep_k is not None:

@@ -29,6 +29,11 @@ class EntryKind(enum.Enum):
     BARRIER = "barrier"
 
 
+_LOAD = EntryKind.LOAD
+_STORE = EntryKind.STORE
+_BARRIER = EntryKind.BARRIER
+
+
 @dataclass(slots=True)
 class WindowEntry:
     id: int
@@ -77,28 +82,25 @@ class SpecEngine:
         self.squashes = 0
 
     # -- bookkeeping --
-    def _take_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
     def _make_room(self) -> None:
         """Eagerly commit the resolved head of a full window.  A barrier
         at the head stays put: its fate is the caller's directive, so a
         window full up to one is a driver bug."""
         while self.window and len(self.window) >= self.capacity:
-            if self.window[0].kind is EntryKind.BARRIER:
+            if self.window[0].kind is _BARRIER:
                 raise WindowFullError(
                     "window full behind an unresolved barrier; squash or commit first")
             self._commit_head()
 
     def _commit_head(self) -> WindowEntry:
         entry = self.window.pop(0)
-        if entry.kind is EntryKind.STORE:
+        kind = entry.kind
+        if kind is _STORE:
             # stores execute only now, at commit, architecturally
             self.hier.store(entry.addr, entry.domain)
             entry.executed = True
             self._unexecuted -= 1
-        elif entry.kind is EntryKind.BARRIER:
+        elif kind is _BARRIER:
             entry.executed = True
             self._unexecuted -= 1
         elif self.clear_specbit_on_commit and entry.spec_bit:
@@ -109,19 +111,25 @@ class SpecEngine:
 
     # -- issue --
     def issue_load(self, addr: int, domain: int) -> WindowEntry:
-        self._make_room()
+        window = self.window
+        if len(window) >= self.capacity:
+            self._make_room()
         spec = 1 if self._unexecuted else 0
         out = self.hier.load(addr, domain, spec)
-        entry = WindowEntry(self._take_id(), EntryKind.LOAD, addr, domain,
-                            True, spec, out.source_level)
-        self.window.append(entry)
+        self._next_id = entry_id = self._next_id + 1
+        entry = WindowEntry(entry_id, _LOAD, addr, domain, True, spec,
+                            out.source_level)
+        window.append(entry)
         self.loads_issued += 1
         return entry
 
     def issue_store(self, addr: int, domain: int) -> WindowEntry:
-        self._make_room()
-        entry = WindowEntry(self._take_id(), EntryKind.STORE, addr, domain, False)
-        self.window.append(entry)
+        window = self.window
+        if len(window) >= self.capacity:
+            self._make_room()
+        self._next_id = entry_id = self._next_id + 1
+        entry = WindowEntry(entry_id, _STORE, addr, domain, False)
+        window.append(entry)
         self._unexecuted += 1
         return entry
 
@@ -130,14 +138,21 @@ class SpecEngine:
         outcome is pending).  Everything issued behind it is
         speculative until squash_from or resolve_to settles it."""
         self._make_room()
-        entry = WindowEntry(self._take_id(), EntryKind.BARRIER, None, None, False)
+        self._next_id = entry_id = self._next_id + 1
+        entry = WindowEntry(entry_id, _BARRIER, None, None, False)
         self.window.append(entry)
         self._unexecuted += 1
         return entry
 
     # -- resolution --
     def _position(self, entry_id: int) -> int:
-        for i, e in enumerate(self.window):
+        # replay and commit_all resolve the youngest entry; ids are
+        # unique, so checking it first finds the same position
+        window = self.window
+        last = len(window) - 1
+        if last >= 0 and window[last].id == entry_id:
+            return last
+        for i, e in enumerate(window):
             if e.id == entry_id:
                 return i
         raise KeyError(f"entry {entry_id} not in window")
@@ -169,7 +184,7 @@ class SpecEngine:
         for entry in doomed:
             if not entry.executed:
                 self._unexecuted -= 1
-            if entry.kind is not EntryKind.LOAD:
+            if entry.kind is not _LOAD:
                 continue
             report.loads_squashed += 1
             self.loads_squashed += 1

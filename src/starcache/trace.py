@@ -1,17 +1,29 @@
 """Memory trace format, synthesizers, and the replayer.
 
-Line grammar (whitespace separated, '#' starts a comment):
+Line grammar.  Lines end at any break str.splitlines knows (so CRLF
+works) and split into tokens at any whitespace, tabs included.  Blank
+lines are skipped; a line whose first token starts with '#' is a
+comment.  Directives are case sensitive:
 
-    L <hexaddr> [domain]     load
-    S <hexaddr> [domain]     store
-    SPEC_BEGIN               open a speculation window (depth 1)
-    SPEC_END commit|squash   close it, committing or squashing
-    DOMAIN_SWITCH <id>       default domain for lines that omit one
+    L <hexaddr> [domain]       load
+    S <hexaddr> [domain]       store
+    SPEC_BEGIN                 open a speculation window (depth 1)
+    SPEC_END commit|squash     close it, committing or squashing
+    DOMAIN_SWITCH <domain>     default domain for lines that omit one
 
-Addresses are hex (0x prefix optional) and must fit in 48 bits.  Loads
-and stores inside a SPEC_BEGIN/SPEC_END pair issue behind an unresolved
-barrier, so the loads run speculatively; SPEC_END squash throws the
-window away, SPEC_END commit retires it.  Windows do not nest.
+    hexaddr = ["0x" | "0X"] ASCII hex digits, below 2**48
+    domain  = ASCII decimal digits, 0..254 (255 is DOMAIN_NONE)
+
+No sign, underscore, or non-ASCII digit is accepted.  A bad line raises
+TraceParseError naming it and its first problem, checked in this order:
+token count, address, domain.  The default domain is 0.
+
+Loads and stores inside a SPEC_BEGIN/SPEC_END pair issue behind an
+unresolved barrier, so the loads run speculatively; SPEC_END squash
+throws the window away, SPEC_END commit retires it.  Windows do not
+nest.  The barrier takes one window entry, so a window holds at most
+window_capacity - 1 loads and stores (63 by default); replay rejects a
+longer one at the line that does not fit.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .core import ADDRESS_LIMIT, DOMAIN_NONE, Rng
-from .engine import SpecEngine
+from .engine import SpecEngine, WindowFullError
 from .hierarchy import Hierarchy
 
 
@@ -44,48 +56,69 @@ class TraceEvent:
 
 
 class TraceParseError(ValueError):
+    """A trace line that parse_trace or replay rejects."""
+
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
 def _parse_domain(tok: str, line_no: int) -> int:
-    try:
-        dom = int(tok, 10)
-    except ValueError:
-        raise TraceParseError(line_no, f"bad domain {tok!r}") from None
-    if not 0 <= dom < DOMAIN_NONE:
+    if not (tok.isascii() and tok.isdigit()):
+        raise TraceParseError(line_no, f"bad domain {tok!r}")
+    dom = int(tok, 10)
+    if dom >= DOMAIN_NONE:
         raise TraceParseError(line_no, f"domain {dom} out of range")
     return dom
 
 
+# the canonical spellings of every valid domain id, so the common case
+# skips _parse_domain
+_DOMAIN_IDS = {str(dom): dom for dom in range(DOMAIN_NONE)}
+
+_LOAD = EventKind.LOAD
+_STORE = EventKind.STORE
+_SPEC_BEGIN = EventKind.SPEC_BEGIN
+_SPEC_END = EventKind.SPEC_END
+_DOMAIN_SWITCH = EventKind.DOMAIN_SWITCH
+_COMMENT = EventKind.COMMENT
+
+
 def parse_trace(text: str) -> list[TraceEvent]:
     events: list[TraceEvent] = []
+    append = events.append
+    domain_ids = _DOMAIN_IDS
     open_window_line = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        toks = raw.split()
+        if not toks:
             continue
-        if line.startswith("#"):
-            events.append(TraceEvent(EventKind.COMMENT, text=line[1:].strip(),
-                                     line_no=line_no))
-            continue
-        toks = line.split()
         op = toks[0]
-        if op in ("L", "S"):
-            if len(toks) not in (2, 3):
+        if op == "L" or op == "S":
+            n = len(toks)
+            if n != 2 and n != 3:
                 raise TraceParseError(line_no, f"expected '{op} <hexaddr> [domain]'")
+            tok = toks[1]
             try:
-                addr = int(toks[1], 16)
+                if not (tok.isascii() and tok.isalnum()):
+                    raise ValueError
+                addr = int(tok, 16)
             except ValueError:
-                raise TraceParseError(line_no, f"bad address {toks[1]!r}") from None
-            if not 0 <= addr < ADDRESS_LIMIT:
+                raise TraceParseError(line_no, f"bad address {tok!r}") from None
+            if addr >= ADDRESS_LIMIT:
                 raise TraceParseError(
                     line_no, f"address 0x{addr:x} outside the 48-bit space")
-            domain = _parse_domain(toks[2], line_no) if len(toks) == 3 else None
-            kind = EventKind.LOAD if op == "L" else EventKind.STORE
-            events.append(TraceEvent(kind, addr=addr, domain=domain,
-                                     line_no=line_no))
+            if n == 2:
+                domain = None
+            else:
+                domain = domain_ids.get(toks[2])
+                if domain is None:
+                    domain = _parse_domain(toks[2], line_no)
+            append(TraceEvent(_LOAD if op == "L" else _STORE, addr, domain,
+                              True, "", line_no))
+        elif op[0] == "#":
+            append(TraceEvent(_COMMENT, None, None, True,
+                              raw.strip()[1:].strip(), line_no))
         elif op == "SPEC_BEGIN":
             if len(toks) != 1:
                 raise TraceParseError(line_no, "SPEC_BEGIN takes no arguments")
@@ -94,22 +127,21 @@ def parse_trace(text: str) -> list[TraceEvent]:
                     line_no,
                     f"SPEC_BEGIN inside the window opened at line {open_window_line}")
             open_window_line = line_no
-            events.append(TraceEvent(EventKind.SPEC_BEGIN, line_no=line_no))
+            append(TraceEvent(_SPEC_BEGIN, None, None, True, "", line_no))
         elif op == "SPEC_END":
             if len(toks) != 2 or toks[1] not in ("commit", "squash"):
                 raise TraceParseError(line_no, "expected 'SPEC_END commit|squash'")
             if open_window_line is None:
                 raise TraceParseError(line_no, "SPEC_END without SPEC_BEGIN")
             open_window_line = None
-            events.append(TraceEvent(EventKind.SPEC_END,
-                                     commit=(toks[1] == "commit"),
-                                     line_no=line_no))
+            append(TraceEvent(_SPEC_END, None, None, toks[1] == "commit", "",
+                              line_no))
         elif op == "DOMAIN_SWITCH":
             if len(toks) != 2:
                 raise TraceParseError(line_no, "expected 'DOMAIN_SWITCH <id>'")
-            events.append(TraceEvent(EventKind.DOMAIN_SWITCH,
-                                     domain=_parse_domain(toks[1], line_no),
-                                     line_no=line_no))
+            append(TraceEvent(_DOMAIN_SWITCH, None,
+                              _parse_domain(toks[1], line_no), True, "",
+                              line_no))
         else:
             raise TraceParseError(line_no, f"unknown directive {op!r}")
     if open_window_line is not None:
@@ -173,30 +205,41 @@ def replay(events: list[TraceEvent], hier: Hierarchy,
     """
     if engine is None:
         engine = SpecEngine(hier)
+    # bound per call, not per module: a tracer installed before the call
+    # still wraps them
+    issue_load = engine.issue_load
+    issue_store = engine.issue_store
+    resolve_to = engine.resolve_to
     current_domain = 0
     barrier = None
-    for ev in events:
-        k = ev.kind
-        if k is EventKind.LOAD:
-            dom = current_domain if ev.domain is None else ev.domain
-            entry = engine.issue_load(ev.addr, dom)
-            if barrier is None:
-                engine.resolve_to(entry.id)
-        elif k is EventKind.STORE:
-            dom = current_domain if ev.domain is None else ev.domain
-            entry = engine.issue_store(ev.addr, dom)
-            if barrier is None:
-                engine.resolve_to(entry.id)
-        elif k is EventKind.SPEC_BEGIN:
-            barrier = engine.issue_barrier()
-        elif k is EventKind.SPEC_END:
-            if ev.commit:
-                engine.commit_all()
-            else:
-                engine.squash_from(barrier.id)
-            barrier = None
-        elif k is EventKind.DOMAIN_SWITCH:
-            current_domain = ev.domain
+    try:
+        for ev in events:
+            k = ev.kind
+            if k is _LOAD:
+                dom = current_domain if ev.domain is None else ev.domain
+                entry = issue_load(ev.addr, dom)
+                if barrier is None:
+                    resolve_to(entry.id)
+            elif k is _STORE:
+                dom = current_domain if ev.domain is None else ev.domain
+                entry = issue_store(ev.addr, dom)
+                if barrier is None:
+                    resolve_to(entry.id)
+            elif k is _SPEC_BEGIN:
+                barrier = engine.issue_barrier()
+            elif k is _SPEC_END:
+                if ev.commit:
+                    engine.commit_all()
+                else:
+                    engine.squash_from(barrier.id)
+                barrier = None
+            elif k is _DOMAIN_SWITCH:
+                current_domain = ev.domain
+    except WindowFullError:
+        raise TraceParseError(
+            ev.line_no,
+            f"speculation window holds more than {engine.capacity - 1} "
+            f"loads and stores (window_capacity {engine.capacity})") from None
     engine.commit_all()
 
     loads = hier.loads

@@ -92,6 +92,21 @@ def test_replay_bad_trace_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body,fragment", [
+    (b"L 0x1000\nL 0x\xff00\n", "not UTF-8"),
+    (b"SPEC_BEGIN\n" + b"L 0x40\n" * 64 + b"SPEC_END commit\n",
+     "line 65: speculation window holds more than 63"),
+], ids=["not-utf8", "window-overflow"])
+def test_replay_bad_trace_file_exits_2(tmp_path, capsys, body, fragment):
+    trace = tmp_path / "t.trace"
+    trace.write_bytes(body)
+    out = tmp_path / "o"
+    assert main(["replay", str(trace), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starcache: error:") and fragment in err
+    assert not out.exists()
+
+
 def test_replay_wants_exactly_one_input(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text("L 0x1000\n")

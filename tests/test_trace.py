@@ -51,6 +51,17 @@ def test_parse_blank_lines_skipped():
     ("L 0x1000 x", 1, "bad domain"),
     ("L 0x1000 255", 1, "out of range"),
     ("L 0x1000 1 2", 1, "expected"),
+    # only ASCII hex (optional 0x/0X) and ASCII decimal domains
+    ("L \u0664\u0660 \u0661", 1, "bad address"),
+    ("L 0x4_0 0_1", 1, "bad address"),
+    ("S +0x40 +1", 1, "bad address"),
+    ("L -0x40", 1, "bad address"),
+    ("L 0x 1", 1, "bad address"),
+    ("L 0x40 0_1", 1, "bad domain"),
+    ("S 0x40 +1", 1, "bad domain"),
+    ("L 0x40 -1", 1, "bad domain"),
+    ("L 0x40 \u0661", 1, "bad domain"),
+    ("DOMAIN_SWITCH +2", 1, "bad domain"),
     ("L\n", 1, "expected"),
     ("SPEC_BEGIN now", 1, "no arguments"),
     ("SPEC_BEGIN\nSPEC_BEGIN", 2, "line 1"),
@@ -65,6 +76,16 @@ def test_parse_errors(text, line, fragment):
         parse_trace(text)
     assert info.value.line_no == line
     assert fragment in str(info.value)
+
+
+def test_replay_rejects_a_window_longer_than_the_engine():
+    body = "SPEC_BEGIN\n" + "L 0x40\n" * 63 + "SPEC_END commit\n"
+    assert replay(parse_trace(body), _hier()).loads == 63
+    with pytest.raises(TraceParseError) as info:
+        replay(parse_trace("SPEC_BEGIN\n" + "S 0x40\n" * 64
+                           + "SPEC_END squash\n"), _hier())
+    assert info.value.line_no == 65
+    assert "more than 63 loads and stores" in str(info.value)
 
 
 def test_format_parse_round_trip():
