@@ -7,22 +7,93 @@ from starcache.core import ADDRESS_BITS, CacheGeometry, FlatMemory, Rng
 _M64 = (1 << 64) - 1
 
 
+def _ref_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
 def _ref_splitmix(state):
     """Independent textbook stepper used as the oracle."""
     state = (state + 0x9E3779B97F4A7C15) & _M64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return state, z ^ (z >> 31)
+    return state, _ref_mix(state)
+
+
+class _RefRng:
+    """One scalar step per draw: the oracle for Rng's whole API."""
+
+    def __init__(self, seed):
+        self.state = seed & _M64
+
+    def next_u64(self):
+        self.state, out = _ref_splitmix(self.state)
+        return out
+
+    def choose(self, n):
+        return (self.next_u64() * n) >> 64
+
+    def chance(self, p):
+        return self.next_u64() < int(p * 2.0 ** 64)
+
+    def gauss(self, mu, sigma):
+        u1 = (self.next_u64() >> 11) * 2.0 ** -53
+        u2 = (self.next_u64() >> 11) * 2.0 ** -53
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+
+    def fork(self, label):
+        if isinstance(label, str):
+            h = len(label)
+            data = label.encode("utf-8")
+            for i in range(0, len(data), 8):
+                h = _ref_mix(h ^ int.from_bytes(data[i:i + 8], "little"))
+            label = h
+        return _RefRng(_ref_mix(self.state ^ _ref_mix(label & _M64)))
 
 
 def test_rng_matches_reference_stepper():
     for seed in (0, 1, 42, 0xDEADBEEF, _M64):
         rng = Rng(seed)
         state = seed
-        for _ in range(200):
+        for _ in range(5000):
             state, want = _ref_splitmix(state)
             assert rng.next_u64() == want
+
+
+_CHOOSE_RANGES = (1, 2, 3, 7, 13, 256, 4096, 2**32 + 1, 2**63, _M64,
+                  2**64, 2**64 + 3)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 0xDEADBEEF, _M64])
+def test_rng_op_mix_matches_reference_across_blocks(seed):
+    """Interleaved draws of every kind, with a fork taken after every
+    draw, so forks land mid-block and right at each refill whatever
+    the block sizes are."""
+    pick = _RefRng(seed ^ 0x5EED)      # drives the mix, not under test
+    rng, ref = Rng(seed), _RefRng(seed)
+    for i in range(6000):
+        op = pick.choose(5)
+        if op == 0:
+            n = _CHOOSE_RANGES[pick.choose(len(_CHOOSE_RANGES))]
+            assert rng.choose(n) == ref.choose(n)
+        elif op == 1:
+            p = pick.choose(1001) / 1000
+            assert rng.chance(p) == ref.chance(p)
+        elif op == 2:
+            assert rng.gauss(1.5, 2.0) == ref.gauss(1.5, 2.0)
+        elif op == 3:
+            assert rng.next_u64() == ref.next_u64()
+        else:
+            # a rejected call draws nothing
+            with pytest.raises(ValueError):
+                rng.choose(0)
+            with pytest.raises(ValueError):
+                rng.chance(1.5)
+        label = i if i % 2 else f"fork-{i}"
+        child, ref_child = rng.fork(label), ref.fork(label)
+        assert [child.next_u64() for _ in range(3)] == \
+               [ref_child.next_u64() for _ in range(3)]
+    assert rng.next_u64() == ref.next_u64()
 
 
 def test_rng_golden_values():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from starcache.config import RunConfig
@@ -210,3 +212,53 @@ def test_stats_field_list_matches_dict():
     stats = replay(synth_trace("uniform-random", 100, seed=9), hier)
     d = stats.as_dict()
     assert tuple(d) == stats.FIELDS
+
+
+# The text every synthetic trace formats to, pinned by SHA-256: the
+# golden replay cases' parameters for every profile, and the two traces
+# the benchmark's replay workload builds (L2-sized footprints at the
+# default 4096-line L2) on its tuning and held-out seeds.
+_GOLDEN_SYNTH = dict(events=8000, seed=11, footprint_lines=1024, domains=3,
+                     store_fraction=0.3, p_squash=0.25)
+_L2_LINES = RunConfig().l2_lines
+_BENCH_SYNTH = {
+    "uniform-random": dict(events=20_000, store_fraction=0.3,
+                           footprint_lines=4 * _L2_LINES, domains=2),
+    "spec-mix": dict(events=60_000, p_squash=0.111,
+                     footprint_lines=_L2_LINES),
+}
+SYNTH_TEXT_SHA256 = {
+    "golden-uniform-random":
+        "6df9e9c05562bcea1c92c23e79be172d0adc5c3125418597c802bd835a6f9a59",
+    "golden-pointer-chase":
+        "7a20a538666d0fdf915ce8eb6263fdcdc095b14ac4c7fe77269afd79a0265ff9",
+    "golden-conflict-heavy":
+        "10a04f472943236a8e130cb4fb648daeefc02d28e3086c30c9d063852b98881d",
+    "golden-spec-mix":
+        "ab7b4637194b797f28ad528d0195a60da5a5c7ede7e067e330b8f07c75efea2a",
+    "bench-uniform-random-seed1":
+        "479b34fd99fba11df88cf155512817ccd462b574d8376e94da55cb728f2349bc",
+    "bench-spec-mix-seed1":
+        "f727e9e82147675ae754891a5763630000182aa43bfeaf7998ad6126afc6c133",
+    "bench-uniform-random-seed2302":
+        "cec4e434c53cde3eb40daad33459b7113c29939f6d1d22f0794355410c564791",
+    "bench-spec-mix-seed2302":
+        "258e41914b3fce3a56680705f6a99bf72c924dcbf018ea65e56ec04348eb045e",
+}
+
+
+def _synth_case(case: str) -> tuple[str, dict]:
+    kind, rest = case.split("-", 1)
+    if kind == "golden":
+        return rest, _GOLDEN_SYNTH
+    profile, seed = rest.rsplit("-seed", 1)
+    return profile, dict(_BENCH_SYNTH[profile], seed=int(seed))
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_TEXT_SHA256))
+def test_synth_trace_text_is_pinned(case):
+    profile, params = _synth_case(case)
+    params = dict(params)
+    text = format_trace(synth_trace(profile, params.pop("events"),
+                                    params.pop("seed"), **params))
+    assert hashlib.sha256(text.encode()).hexdigest() == SYNTH_TEXT_SHA256[case]
