@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 ADDRESS_BITS = 48
 ADDRESS_LIMIT = 1 << ADDRESS_BITS
 
@@ -105,6 +107,16 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# Rng computes its outputs ahead in blocks that double from the first
+# size up to the cap, so a short-lived fork pays for one small block
+_FIRST_BLOCK = 16
+_BLOCK_CAP = 1024
+# _STEPS[-n:] is n*gamma, ..., 2*gamma, gamma (mod 2**64): a block's
+# state offsets, last output first
+_STEPS = np.arange(_BLOCK_CAP, 0, -1, dtype=np.uint64) * np.uint64(_GAMMA)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+
 
 def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -112,32 +124,63 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def chance_threshold(p: float) -> int:
+    """The bound below which a 64-bit draw means a success with
+    probability p; raises for p outside [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability out of range: {p}")
+    return int(p * 18446744073709551616.0)
+
+
 class Rng:
     """Deterministic 64-bit generator (splitmix64).
+
+    Output i is the mix of seed + (i + 1) * gamma alone, so the stream
+    is computed ahead in uint64 numpy blocks and each draw pops the next
+    buffered value; the values and their order are those of stepping
+    one output at a time.
 
     choose(n) maps one output onto [0, n) with the multiply-shift trick;
     the bias is at most n / 2**64 and invisible at any count this
     simulator draws.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_buf", "_block")
 
     def __init__(self, seed: int):
+        # the state after the last buffered output; _buf holds the
+        # outputs not yet drawn, next one last
         self._state = seed & _MASK64
+        self._buf: list[int] = []
+        self._block = _FIRST_BLOCK
+
+    def _refill(self) -> int:
+        """Compute the next block and draw its first output."""
+        n = self._block
+        z = _STEPS[-n:] + np.uint64(self._state)
+        z ^= z >> 30
+        z *= _U_MIX1
+        z ^= z >> 27
+        z *= _U_MIX2
+        z ^= z >> 31
+        buf = self._buf = z.tolist()
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        self._block = min(2 * n, _BLOCK_CAP)
+        return buf.pop()
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix64(self._state)
+        buf = self._buf
+        return buf.pop() if buf else self._refill()
 
     def choose(self, n: int) -> int:
         if n <= 0:
             raise ValueError("choose() needs a positive range")
-        return (self.next_u64() * n) >> 64
+        buf = self._buf
+        return ((buf.pop() if buf else self._refill()) * n) >> 64
 
     def chance(self, p: float) -> bool:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability out of range: {p}")
-        return self.next_u64() < int(p * 18446744073709551616.0)
+        below = chance_threshold(p)     # a rejected p draws nothing
+        return self.next_u64() < below
 
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """One Box-Muller draw; the partner sample is discarded."""
@@ -147,7 +190,8 @@ class Rng:
         return mu + sigma * r * math.cos(2.0 * math.pi * u2)
 
     def fork(self, label: int | str) -> "Rng":
-        """Independent child stream; deterministic in (seed, label).
+        """Independent child stream; deterministic in (seed, label) and
+        in how many values the parent has drawn, not in its blocks.
 
         String labels fold through the mixer eight bytes at a time, so
         labels sharing a prefix still land on distinct streams.
@@ -158,7 +202,8 @@ class Rng:
             for i in range(0, len(data), 8):
                 h = _mix64(h ^ int.from_bytes(data[i:i + 8], "little"))
             label = h
-        return Rng(_mix64(self._state ^ _mix64(label & _MASK64)))
+        state = (self._state - len(self._buf) * _GAMMA) & _MASK64
+        return Rng(_mix64(state ^ _mix64(label & _MASK64)))
 
 
 class FlatMemory:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .core import ADDRESS_LIMIT, DOMAIN_NONE, Rng
+from .core import ADDRESS_LIMIT, DOMAIN_NONE, Rng, chance_threshold
 from .engine import SpecEngine, WindowFullError
 from .hierarchy import Hierarchy
 
@@ -151,18 +151,25 @@ def parse_trace(text: str) -> list[TraceEvent]:
 
 def format_trace(events: list[TraceEvent]) -> str:
     out = []
+    append = out.append
     for ev in events:
-        if ev.kind in (EventKind.LOAD, EventKind.STORE):
-            dom = "" if ev.domain is None else f" {ev.domain}"
-            out.append(f"{ev.kind.value} 0x{ev.addr:x}{dom}")
-        elif ev.kind is EventKind.SPEC_BEGIN:
-            out.append("SPEC_BEGIN")
-        elif ev.kind is EventKind.SPEC_END:
-            out.append(f"SPEC_END {'commit' if ev.commit else 'squash'}")
-        elif ev.kind is EventKind.DOMAIN_SWITCH:
-            out.append(f"DOMAIN_SWITCH {ev.domain}")
+        k = ev.kind
+        if k is _LOAD:
+            dom = ev.domain
+            append(f"L 0x{ev.addr:x}" if dom is None
+                   else f"L 0x{ev.addr:x} {dom}")
+        elif k is _STORE:
+            dom = ev.domain
+            append(f"S 0x{ev.addr:x}" if dom is None
+                   else f"S 0x{ev.addr:x} {dom}")
+        elif k is _SPEC_BEGIN:
+            append("SPEC_BEGIN")
+        elif k is _SPEC_END:
+            append("SPEC_END commit" if ev.commit else "SPEC_END squash")
+        elif k is _DOMAIN_SWITCH:
+            append(f"DOMAIN_SWITCH {ev.domain}")
         else:
-            out.append(f"# {ev.text}")
+            append(f"# {ev.text}")
     return "\n".join(out) + "\n"
 
 
@@ -298,30 +305,31 @@ def synth_trace(profile: str, events: int, seed: int,
     if not 1 <= domains <= DOMAIN_NONE:
         raise ValueError(f"domains must be 1..{DOMAIN_NONE}, got {domains}")
     rng = Rng(seed)
-    out: list[TraceEvent] = [TraceEvent(EventKind.COMMENT,
-                                        text=f"synth {profile} seed={seed}")]
-
-    def line_addr(i: int) -> int:
-        return _SYNTH_BASE + i * 64
+    choose = rng.choose
+    out: list[TraceEvent] = [TraceEvent(_COMMENT, None, None, True,
+                                        f"synth {profile} seed={seed}")]
+    append = out.append
+    base = _SYNTH_BASE
 
     if profile == "uniform-random":
+        next_u64 = rng.next_u64
+        store_below = chance_threshold(store_fraction)
         for _ in range(events):
-            addr = line_addr(rng.choose(footprint_lines))
-            dom = rng.choose(domains) if domains > 1 else 0
-            kind = (EventKind.STORE if rng.chance(store_fraction)
-                    else EventKind.LOAD)
-            out.append(TraceEvent(kind, addr=addr, domain=dom))
+            addr = base + 64 * choose(footprint_lines)
+            dom = choose(domains) if domains > 1 else 0
+            append(TraceEvent(_STORE if next_u64() < store_below else _LOAD,
+                              addr, dom))
 
     elif profile == "pointer-chase":
         # single random cycle over the footprint (Sattolo), so one lap
         # touches every line exactly once: no reuse, misses back to back
         perm = list(range(footprint_lines))
         for i in range(footprint_lines - 1, 0, -1):
-            j = rng.choose(i)
+            j = choose(i)
             perm[i], perm[j] = perm[j], perm[i]
         at = 0
         for _ in range(events):
-            out.append(TraceEvent(EventKind.LOAD, addr=line_addr(at), domain=0))
+            append(TraceEvent(_LOAD, base + 64 * at, 0))
             at = perm[at]
 
     elif profile == "conflict-heavy":
@@ -330,7 +338,7 @@ def synth_trace(profile: str, events: int, seed: int,
         # on the resident line's mapping entry with the wrong tag
         emitted = 0
         while emitted < events:
-            a = line_addr(rng.choose(256))
+            a = base + 64 * choose(256)
             r = rng.next_u64() / 18446744073709551616.0
             bit = _CONFLICT_BITS[-1]
             acc = 0.0
@@ -339,22 +347,24 @@ def synth_trace(profile: str, events: int, seed: int,
                 if r < acc:
                     bit = b
                     break
-            out.append(TraceEvent(EventKind.LOAD, addr=a, domain=0))
-            out.append(TraceEvent(EventKind.SPEC_BEGIN))
-            out.append(TraceEvent(EventKind.LOAD, addr=a ^ (1 << bit), domain=0))
-            out.append(TraceEvent(EventKind.SPEC_END, commit=True))
+            append(TraceEvent(_LOAD, a, 0))
+            append(TraceEvent(_SPEC_BEGIN))
+            append(TraceEvent(_LOAD, a ^ (1 << bit), 0))
+            append(TraceEvent(_SPEC_END, None, None, True))
             emitted += 2
 
     else:   # spec-mix
+        next_u64 = rng.next_u64
+        squash_below = chance_threshold(p_squash)
         emitted = 0
         while emitted < events:
-            width = 2 + rng.choose(7)
-            squash = rng.chance(p_squash)
-            out.append(TraceEvent(EventKind.SPEC_BEGIN))
+            width = 2 + choose(7)
+            squash = next_u64() < squash_below
+            append(TraceEvent(_SPEC_BEGIN))
             for _ in range(width):
-                addr = line_addr(rng.choose(footprint_lines))
-                out.append(TraceEvent(EventKind.LOAD, addr=addr, domain=0))
-            out.append(TraceEvent(EventKind.SPEC_END, commit=not squash))
+                append(TraceEvent(_LOAD, base + 64 * choose(footprint_lines),
+                                  0))
+            append(TraceEvent(_SPEC_END, None, None, not squash))
             emitted += width
 
     return out
