@@ -76,15 +76,23 @@ class _L2Port:
     (filling it from memory on an L2 miss), an eviction writes back into
     the L2 line."""
 
-    __slots__ = ("l2",)
+    __slots__ = ("l2", "_sets", "_line_mask", "_offset_bits", "_setmask")
 
     def __init__(self, l2: SetAssocLru):
         self.l2 = l2
+        # an access leaves its line in its set, so fetch reads the
+        # payload from there rather than looking the line up again
+        self._sets = l2._sets
+        self._line_mask = l2._line_mask
+        self._offset_bits = l2._offset_bits
+        self._setmask = l2._setmask
 
     def fetch(self, addr: int, domain: int, spec_bit: int):
-        l2 = self.l2
-        out = l2.access(_LOAD, addr, domain, spec_bit)
-        return l2.find(addr).data, 2 if out.kind is _HIT else 3, out.latency
+        # looked up per call: a tracer may wrap the instance's access
+        out = self.l2.access(_LOAD, addr, domain, spec_bit)
+        base = addr & self._line_mask
+        data = self._sets[(base >> self._offset_bits) & self._setmask][base].data
+        return data, 2 if out.kind is _HIT else 3, out.latency
 
     def writeback(self, base: int, domain: int, data) -> None:
         rec = self.l2.find(base)
