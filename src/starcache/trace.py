@@ -56,10 +56,14 @@ class TraceEvent:
 
 
 class TraceParseError(ValueError):
-    """A trace line that parse_trace or replay rejects."""
+    """A trace line that parse_trace or replay rejects.  An event with no
+    source line (line_no 0, as synth_trace makes them) is named by its
+    1-based position in the event list instead."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str,
+                 event_no: int | None = None):
+        where = f"line {line_no}" if event_no is None else f"event {event_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
 
 
@@ -243,10 +247,12 @@ def replay(events: list[TraceEvent], hier: Hierarchy,
             elif k is _DOMAIN_SWITCH:
                 current_domain = ev.domain
     except WindowFullError:
-        raise TraceParseError(
-            ev.line_no,
-            f"speculation window holds more than {engine.capacity - 1} "
-            f"loads and stores (window_capacity {engine.capacity})") from None
+        message = (f"speculation window holds more than {engine.capacity - 1} "
+                   f"loads and stores (window_capacity {engine.capacity})")
+        if ev.line_no:
+            raise TraceParseError(ev.line_no, message) from None
+        event_no = next(i for i, e in enumerate(events, 1) if e is ev)
+        raise TraceParseError(0, message, event_no) from None
     engine.commit_all()
 
     loads = hier.loads

@@ -107,6 +107,19 @@ def test_replay_bad_trace_file_exits_2(tmp_path, capsys, body, fragment):
     assert not out.exists()
 
 
+def test_replay_synth_window_overflow_names_the_event(tmp_path, capsys):
+    cfg = tmp_path / "small-window.cfg"
+    cfg.write_text("window_capacity = 4\n")
+    out = tmp_path / "o"
+    assert main(["replay", "--synth", "spec-mix", "--events", "50",
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starcache: error: event ")
+    assert "speculation window holds more than 3" in err
+    assert "line 0" not in err
+    assert not out.exists()
+
+
 def test_replay_wants_exactly_one_input(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     trace.write_text("L 0x1000\n")
