@@ -18,7 +18,8 @@ ADDRESS_BITS = 48
 ADDRESS_LIMIT = 1 << ADDRESS_BITS
 
 DOMAIN_BITS = 8
-# Reserved id stamped on cleared lines; it never matches a request.
+# Reserved id, the one above the last valid domain: trace parsing and
+# synth_trace accept domain ids below it only.
 DOMAIN_NONE = (1 << DOMAIN_BITS) - 1
 
 _MASK64 = (1 << 64) - 1
