@@ -227,6 +227,10 @@ _BENCH_SYNTH = {
     "spec-mix": dict(events=60_000, p_squash=0.111,
                      footprint_lines=_L2_LINES),
 }
+_SYNTH_CASES = {f"golden-{p}": (p, _GOLDEN_SYNTH) for p in PROFILES}
+_SYNTH_CASES.update({f"bench-{p}-seed{seed}": (p, dict(params, seed=seed))
+                     for p, params in _BENCH_SYNTH.items()
+                     for seed in (1, 2302)})
 SYNTH_TEXT_SHA256 = {
     "golden-uniform-random":
         "6df9e9c05562bcea1c92c23e79be172d0adc5c3125418597c802bd835a6f9a59",
@@ -247,18 +251,8 @@ SYNTH_TEXT_SHA256 = {
 }
 
 
-def _synth_case(case: str) -> tuple[str, dict]:
-    kind, rest = case.split("-", 1)
-    if kind == "golden":
-        return rest, _GOLDEN_SYNTH
-    profile, seed = rest.rsplit("-seed", 1)
-    return profile, dict(_BENCH_SYNTH[profile], seed=int(seed))
-
-
 @pytest.mark.parametrize("case", sorted(SYNTH_TEXT_SHA256))
 def test_synth_trace_text_is_pinned(case):
-    profile, params = _synth_case(case)
-    params = dict(params)
-    text = format_trace(synth_trace(profile, params.pop("events"),
-                                    params.pop("seed"), **params))
+    profile, params = _SYNTH_CASES[case]
+    text = format_trace(synth_trace(profile, **params))
     assert hashlib.sha256(text.encode()).hexdigest() == SYNTH_TEXT_SHA256[case]
