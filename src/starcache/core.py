@@ -109,9 +109,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # Rng computes its outputs ahead in blocks that double from the first
-# size up to the cap, so a short-lived fork pays for one small block
+# size up to the cap, so a short-lived fork pays for one small block.
+# A larger cap saves little per draw but holds more memory per stream
+# and makes each refill a longer pause.
 _FIRST_BLOCK = 16
-_BLOCK_CAP = 1024
+_BLOCK_CAP = 256
 # _STEPS[-n:] is n*gamma, ..., 2*gamma, gamma (mod 2**64): a block's
 # state offsets, last output first
 _STEPS = np.arange(_BLOCK_CAP, 0, -1, dtype=np.uint64) * np.uint64(_GAMMA)
