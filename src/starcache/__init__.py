@@ -22,7 +22,7 @@ from .checks import run_selftest, CheckResult
 from .config import ConfigError, RunConfig, load_config
 from .core import CacheGeometry, FlatMemory, Rng
 from .engine import SpecEngine, SquashReport
-from .hierarchy import Hierarchy, SFillInvRequest
+from .hierarchy import Hierarchy
 from .models import (AccessKind, AccessOutcome, FarrCache, NewsCache, Op,
                      SetAssocLru, SFillAction, MODEL_NAMES)
 from .observe import (ObservationMatrix, RecoveryResult, leakage_score,
@@ -37,7 +37,7 @@ __all__ = [
     "CacheGeometry", "CheckResult", "ConfigError", "FarrCache", "FlatMemory",
     "Hierarchy", "MODEL_NAMES", "NewsCache", "ObservationMatrix", "Op",
     "PROFILES", "RecoveryResult", "ReplayStats", "Rng", "RunConfig",
-    "SetAssocLru", "SFillAction", "SFillInvRequest", "SpecEngine",
+    "SetAssocLru", "SFillAction", "SpecEngine",
     "SquashReport", "SweepRun", "TraceEvent", "TraceParseError",
     "format_trace", "leakage_score", "load_config", "mi_bits", "noise_floor",
     "parse_trace", "recover_byte", "recover_nibble", "replay",

@@ -284,7 +284,7 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
         for addr in aes_first_round_accesses(key, block, tables):
             load(addr, VICTIM_DOMAIN)
         _probe(load, probe, vec, rnoise, sigma)
-        folded = vec if by_set else vec.reshape(-1, n_sets).sum(axis=0)
+        folded = _fold(vec, n_sets)
         decisions = [16 * t + int(np.argmax(folded[16 * t:16 * t + TABLE_LINES]))
                      for t in range(4)]
         for j in range(KEY_BYTES):

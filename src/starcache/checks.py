@@ -50,8 +50,8 @@ def farr_victim_histogram(events: int, seed: int,
     """Histogram of the slot each post-fill miss lands in (equal to the
     victim slot, since the freed slot is reused immediately)."""
     cfg = RunConfig(model="star-farr").validate()
-    hier = cfg.build_hierarchy(Rng(seed).fork("farr-uniformity"),
-                               farr_deterministic_victim=deterministic_victim)
+    hier = cfg.build_hierarchy(Rng(seed).fork("farr-uniformity"))
+    hier.l1.deterministic_victim = deterministic_victim
     lines = cfg.l1_lines
     base = 0x100_0000
     for i in range(lines):
@@ -152,9 +152,8 @@ def check_spec_conflict_no_trace(quick: bool,
     base = 0x400_0000
     for t in range(trials):
         cfg = RunConfig(model="star-news").validate()
-        hier = cfg.build_hierarchy(
-            Rng(104 + t).fork("spec-trace"),
-            news_fill_on_spec_tagmiss=fill_on_spec_tagmiss)
+        hier = cfg.build_hierarchy(Rng(104 + t).fork("spec-trace"))
+        hier.l1.fill_on_spec_tagmiss = fill_on_spec_tagmiss
         engine = SpecEngine(hier)
         for i in range(background):
             hier.load(base + 64 * i, 0)

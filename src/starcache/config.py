@@ -91,12 +91,12 @@ class RunConfig:
     def l2_geometry(self) -> CacheGeometry:
         return CacheGeometry(self.line_size, self.l2_lines, self.l2_assoc, 0)
 
-    def build_hierarchy(self, rng: Rng, **model_tweaks) -> Hierarchy:
+    def build_hierarchy(self, rng: Rng) -> Hierarchy:
         return Hierarchy(self.model, self.l1_geometry(), self.l2_geometry(),
                          rng, l1_hit_cycles=self.l1_hit_cycles,
                          l2_hit_cycles=self.l2_hit_cycles,
                          memory_cycles=self.memory_cycles,
-                         debug_checks=self.debug_checks, **model_tweaks)
+                         debug_checks=self.debug_checks)
 
     def echo_items(self) -> list[tuple[str, str]]:
         """Stable key/value pairs for output file headers."""

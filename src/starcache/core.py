@@ -71,34 +71,8 @@ class CacheGeometry:
         return self.base_index_bits + self.extra_index_bits
 
     @property
-    def tag_bits(self) -> int:
-        return ADDRESS_BITS - self.offset_bits - self.index_bits
-
-    @property
     def set_count(self) -> int:
         return self.line_count // self.associativity
-
-    def check_address(self, addr: int) -> None:
-        if not 0 <= addr < ADDRESS_LIMIT:
-            raise ValueError(f"address 0x{addr:x} outside the 48-bit space")
-
-    def decompose(self, addr: int) -> tuple[int, int, int]:
-        """Split addr into (tag, index, offset); inverse of reassemble."""
-        self.check_address(addr)
-        offset = addr & (self.line_size - 1)
-        index = (addr >> self.offset_bits) & ((1 << self.index_bits) - 1)
-        tag = addr >> (self.offset_bits + self.index_bits)
-        return tag, index, offset
-
-    def reassemble(self, tag: int, index: int, offset: int) -> int:
-        if not 0 <= offset < self.line_size:
-            raise ValueError(f"offset {offset} outside line")
-        if not 0 <= index < (1 << self.index_bits):
-            raise ValueError(f"index {index} wider than {self.index_bits} bits")
-        if not 0 <= tag < (1 << self.tag_bits):
-            raise ValueError(f"tag 0x{tag:x} wider than {self.tag_bits} bits")
-        return (((tag << self.index_bits) | index) << self.offset_bits) | offset
-
 
 
 # splitmix64 (Steele/Lea/Flood).  Chosen for a tiny, portable core that

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .hierarchy import Hierarchy, SFillInvRequest
+from .hierarchy import Hierarchy
 
 
 class EntryKind(enum.Enum):
@@ -40,7 +40,6 @@ class WindowEntry:
     kind: EntryKind
     addr: int | None
     domain: int | None
-    executed: bool
     spec_bit: int = 0
     source_level: int = 0       # where an executed load's data came from
 
@@ -98,10 +97,8 @@ class SpecEngine:
         if kind is _STORE:
             # stores execute only now, at commit, architecturally
             self.hier.store(entry.addr, entry.domain)
-            entry.executed = True
             self._unexecuted -= 1
         elif kind is _BARRIER:
-            entry.executed = True
             self._unexecuted -= 1
         elif self.clear_specbit_on_commit and entry.spec_bit:
             rec = self.hier.l1.find(entry.addr, entry.domain)
@@ -117,7 +114,7 @@ class SpecEngine:
         spec = 1 if self._unexecuted else 0
         out = self.hier.load(addr, domain, spec)
         self._next_id = entry_id = self._next_id + 1
-        entry = WindowEntry(entry_id, _LOAD, addr, domain, True, spec,
+        entry = WindowEntry(entry_id, _LOAD, addr, domain, spec,
                             out.source_level)
         window.append(entry)
         self.loads_issued += 1
@@ -128,7 +125,7 @@ class SpecEngine:
         if len(window) >= self.capacity:
             self._make_room()
         self._next_id = entry_id = self._next_id + 1
-        entry = WindowEntry(entry_id, _STORE, addr, domain, False)
+        entry = WindowEntry(entry_id, _STORE, addr, domain)
         window.append(entry)
         self._unexecuted += 1
         return entry
@@ -139,7 +136,7 @@ class SpecEngine:
         speculative until squash_from or resolve_to settles it."""
         self._make_room()
         self._next_id = entry_id = self._next_id + 1
-        entry = WindowEntry(entry_id, _BARRIER, None, None, False)
+        entry = WindowEntry(entry_id, _BARRIER, None, None)
         self.window.append(entry)
         self._unexecuted += 1
         return entry
@@ -175,24 +172,25 @@ class SpecEngine:
         Loads, all executed at issue, are examined in program order: an
         L1-hit load is skipped (its line was resident already), any other
         load sends one invalidation stamped with its data's source level.
+        The hierarchy takes the window's invalidations as one squash.
         """
         pos = self._position(entry_id)
         doomed = self.window[pos:]
         del self.window[pos:]
         self.squashes += 1
         report = SquashReport()
+        sent = []
         for entry in doomed:
-            if not entry.executed:
-                self._unexecuted -= 1
             if entry.kind is not _LOAD:
+                self._unexecuted -= 1      # a store or barrier never ran
                 continue
             report.loads_squashed += 1
             self.loads_squashed += 1
             if entry.source_level == 1:
                 report.skipped_l1hit += 1
             else:
-                self.hier.sfill_inv(SFillInvRequest(
-                    entry.addr, entry.domain, entry.source_level))
-                report.sfill_inv_sent += 1
+                sent.append((entry.addr, entry.domain, entry.source_level))
+        report.sfill_inv_sent = len(sent)
+        self.hier.squash(sent)
         report.check()
         return report

@@ -10,7 +10,14 @@ Inclusion is by address: any address valid in L1 is also valid in L2
 which inclusion permits).  An L2 eviction recalls every L1 copy of that
 address.  Squash-time invalidation requests travel strictly downward
 and produce no response; level n forwards one to level n+1 only when
-the squashed load's data came from below level n.
+the squashed load's data came from below level n.  A squash reaches L2
+only after it has reached every L1 copy the window made.
+
+The hardened models keep one L1 copy per domain, and those copies are
+not kept coherent with each other.  Two domains storing to one line is
+out of scope: the later write-back overwrites the other's bytes.
+Invalidating the other copies on a store would let one domain evict
+another's line, the channel that domain gating closes.
 
 Write-backs go one level down.  A dirty L1 line lands in its L2 line,
 which inclusion keeps resident; that line turns dirty and loses its
@@ -26,8 +33,6 @@ payload rather than writing into the one it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import CacheGeometry, FlatMemory, Rng
 from .models import (AccessKind, AccessOutcome, FarrCache, NewsCache, Op,
                      SetAssocLru, SFillAction)
@@ -35,23 +40,7 @@ from .models import (AccessKind, AccessOutcome, FarrCache, NewsCache, Op,
 _LOAD = Op.LOAD
 _STORE = Op.STORE
 _HIT = AccessKind.HIT
-
-
-@dataclass(slots=True)
-class SFillInvRequest:
-    """One-way invalidation sent when a speculative load is squashed.
-
-    source_level is where the squashed load's data came from; loads
-    served by an L1 hit are filtered out before a request is built.
-    """
-    addr: int
-    domain: int
-    source_level: int
-
-    def __post_init__(self):
-        if self.source_level not in (2, 3):
-            raise ValueError(
-                f"invalidation carries source level 2 or 3, got {self.source_level}")
+_PROPAGATE = SFillAction.PROPAGATE
 
 
 class _MemoryPort:
@@ -108,9 +97,7 @@ class Hierarchy:
     def __init__(self, model: str, l1_geometry: CacheGeometry,
                  l2_geometry: CacheGeometry, rng: Rng,
                  l1_hit_cycles: int = 1, l2_hit_cycles: int = 12,
-                 memory_cycles: int = 100, debug_checks: bool = False,
-                 farr_deterministic_victim: bool = False,
-                 news_fill_on_spec_tagmiss: bool = False):
+                 memory_cycles: int = 100, debug_checks: bool = False):
         for name, lat in (("l1_hit_cycles", l1_hit_cycles),
                           ("l2_hit_cycles", l2_hit_cycles),
                           ("memory_cycles", memory_cycles)):
@@ -135,11 +122,9 @@ class Hierarchy:
             self.l1 = SetAssocLru(l1_geometry, l1_hit_cycles, port,
                                   secure_inval=False, level=1)
         elif model == "star-farr":
-            self.l1 = FarrCache(l1_geometry, l1_hit_cycles, port, rng, level=1,
-                                deterministic_victim=farr_deterministic_victim)
+            self.l1 = FarrCache(l1_geometry, l1_hit_cycles, port, rng)
         elif model == "star-news":
-            self.l1 = NewsCache(l1_geometry, l1_hit_cycles, port, rng, level=1,
-                                fill_on_spec_tagmiss=news_fill_on_spec_tagmiss)
+            self.l1 = NewsCache(l1_geometry, l1_hit_cycles, port, rng)
         else:
             raise ValueError(f"unknown model {model!r}")
 
@@ -224,15 +209,24 @@ class Hierarchy:
             self.check_invariants()
         return l1rec is not None or l2rec is not None
 
-    def sfill_inv(self, req: SFillInvRequest) -> None:
-        """Deliver a squash invalidation; fire-and-forget for the
-        issuer."""
+    def sfill_inv(self, addr: int, domain: int, source_level: int) -> bool:
+        """The L1 phase of one squash invalidation; True when L1 passes
+        it on to L2.  source_level is where the squashed load's data
+        came from, 2 or 3."""
         self.sfill_inv_sent += 1
-        action = self.l1.handle_sfill_inv(req.addr, req.domain, req.source_level)
-        if action is SFillAction.PROPAGATE:
-            # beyond L2 sits stateless memory, so L2's own forward
-            # decision has nowhere to go
-            self.l2.handle_sfill_inv(req.addr, req.domain, req.source_level)
+        return self.l1.handle_sfill_inv(addr, domain,
+                                        source_level) is _PROPAGATE
+
+    def squash(self, loads) -> None:
+        """Invalidate one squashed window's (addr, domain, source_level)
+        loads, fire-and-forget for the issuer.  Every L1 copy goes
+        first; then L2 drops each forwarded line unless an L1 copy of it
+        remains, which inclusion needs.  Beyond L2 sits stateless
+        memory, so L2's own forward decision has nowhere to go."""
+        forwarded = [load for load in loads if self.sfill_inv(*load)]
+        for addr, domain, source_level in forwarded:
+            if not self.l1.contains_addr(addr & self._line_mask):
+                self.l2.handle_sfill_inv(addr, domain, source_level)
         if self.debug_checks:
             self.check_invariants()
 
@@ -253,7 +247,7 @@ class Hierarchy:
             if rec.dirty:
                 self.l1.lower.writeback(rec.base, rec.domain, rec.data)
         for rec in list(self.l2.valid_lines()):
-            self.l2.invalidate(rec.base)
+            self.l2.flush_line(rec.base, rec.domain, False)
             if rec.dirty:
                 self.memory.write_line(rec.base, rec.data)
 

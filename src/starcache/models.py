@@ -223,12 +223,6 @@ class SetAssocLru:
         del od[base]
         return rec
 
-    def invalidate(self, base: int) -> CacheLineMeta | None:
-        """Unconditional removal (back-invalidation); caller owns any
-        write-back of the returned record."""
-        od = self._sets[(base >> self._offset_bits) & self._setmask]
-        return od.pop(base, None)
-
     def handle_sfill_inv(self, addr: int, domain: int,
                          source_level: int) -> SFillAction:
         if not self.secure_inval:
@@ -264,7 +258,7 @@ class _SlotCache:
     deterministic_victim = False
 
     def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
-                 rng: Rng, level: int):
+                 rng: Rng, level: int = 1):
         self.geom = geometry
         self.hit_cycles = hit_cycles
         self.lower = lower
@@ -374,11 +368,6 @@ class FarrCache(_SlotCache):
 
     kind = "star-farr"
 
-    def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
-                 rng: Rng, level: int = 1, deterministic_victim: bool = False):
-        super().__init__(geometry, hit_cycles, lower, rng, level)
-        self.deterministic_victim = deterministic_victim
-
     def find(self, addr: int, domain: int) -> CacheLineMeta | None:
         slot = self._keys.get((addr & self._line_mask, domain))
         return None if slot is None else self._slots[slot]
@@ -433,13 +422,13 @@ class NewsCache(_SlotCache):
     """
 
     kind = "star-news"
+    # fault-injection hook for the self test: treat the speculative
+    # conflict like the non-speculative one (fill anyway)
+    fill_on_spec_tagmiss = False
 
     def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
-                 rng: Rng, level: int = 1, fill_on_spec_tagmiss: bool = False):
+                 rng: Rng, level: int = 1):
         super().__init__(geometry, hit_cycles, lower, rng, level)
-        # fault-injection hook: treat the speculative conflict like the
-        # non-speculative one (fill anyway)
-        self.fill_on_spec_tagmiss = fill_on_spec_tagmiss
         self._index_mask = (1 << geometry.index_bits) - 1
         self._tag_shift = geometry.offset_bits + geometry.index_bits
         self._nofill = _MissOutcomes(_NOFILL, hit_cycles)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from starcache.core import ADDRESS_BITS, CacheGeometry, FlatMemory, Rng
+from starcache.core import CacheGeometry, FlatMemory, Rng
 
 _M64 = (1 << 64) - 1
 
@@ -165,13 +165,11 @@ def test_geometry_default_shape():
     assert g.base_index_bits == 9
     assert g.index_bits == 9
     assert g.set_count == 64
-    assert g.tag_bits == ADDRESS_BITS - 6 - 9
 
 
 def test_geometry_extra_index_bits():
     g = CacheGeometry(64, 512, 8, 4)
     assert g.index_bits == 13
-    assert g.tag_bits == ADDRESS_BITS - 6 - 13
 
 
 def test_geometry_rejects_bad_shapes():
@@ -183,35 +181,6 @@ def test_geometry_rejects_bad_shapes():
         CacheGeometry(64, 512, 7)        # associativity does not divide
     with pytest.raises(ValueError):
         CacheGeometry(64, 512, 8, -1)
-
-
-def test_decompose_reassemble_roundtrip():
-    g = CacheGeometry(64, 512, 8, 2)
-    rng = Rng(31)
-    for _ in range(500):
-        addr = rng.next_u64() & ((1 << ADDRESS_BITS) - 1)
-        tag, index, offset = g.decompose(addr)
-        assert g.reassemble(tag, index, offset) == addr
-        assert 0 <= index < (1 << g.index_bits)
-        assert 0 <= offset < 64
-
-
-def test_decompose_hand_value():
-    g = CacheGeometry(64, 512, 8, 0)
-    # 0x40_0000: line number 0x10000, index = low 9 bits = 0, tag = 0x80
-    tag, index, offset = g.decompose(0x40_0000)
-    assert (tag, index, offset) == (0x80, 0, 0)
-    tag, index, offset = g.decompose(0x40_0000 + 64 * 5 + 3)
-    assert (tag, index, offset) == (0x80, 5, 3)
-
-
-def test_address_bounds_checked():
-    g = CacheGeometry(64, 512, 8)
-    with pytest.raises(ValueError):
-        g.check_address(1 << ADDRESS_BITS)
-    with pytest.raises(ValueError):
-        g.check_address(-1)
-    g.check_address((1 << ADDRESS_BITS) - 1)
 
 
 def test_flat_memory_read_write():

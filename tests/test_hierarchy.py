@@ -4,7 +4,7 @@ from starcache.checks import flat_replay_reference
 from starcache.config import RunConfig
 from starcache.core import Rng
 from starcache.engine import SpecEngine
-from starcache.hierarchy import Hierarchy, SFillInvRequest
+from starcache.hierarchy import Hierarchy
 from starcache.models import AccessKind
 from starcache.trace import parse_trace, replay
 
@@ -137,7 +137,7 @@ def test_sfill_inv_scrubs_both_levels_from_memory_fill():
         h.load(0xA000, 0, spec_bit=1)
         assert h.l1.find(0xA000, 0).spec_bit == 1
         assert h.l2.find(0xA000).spec_bit == 1
-        h.sfill_inv(SFillInvRequest(0xA000, 0, 3))
+        h.squash([(0xA000, 0, 3)])
         assert h.l1.find(0xA000, 0) is None
         assert not h.l2.contains_addr(0xA000)
 
@@ -150,7 +150,7 @@ def test_sfill_inv_source2_stops_at_nonspec_l2_line():
         h.l1.flush_line(rec.base, rec.domain, True)
     out = h.load(0xB000, 0, spec_bit=1)
     assert out.source_level == 2
-    h.sfill_inv(SFillInvRequest(0xB000, 0, 2))
+    h.squash([(0xB000, 0, 2)])
     assert h.l1.find(0xB000, 0) is None
     assert h.l2.contains_addr(0xB000)            # case i at L2
     assert h.sfill_inv_dropped_case_i == 1
@@ -159,16 +159,9 @@ def test_sfill_inv_source2_stops_at_nonspec_l2_line():
 def test_sfill_inv_ignored_by_baseline_l1():
     h = _hier("sa-lru")
     h.load(0xC000, 0, spec_bit=1)
-    h.sfill_inv(SFillInvRequest(0xC000, 0, 3))
+    assert h.sfill_inv(0xC000, 0, 3) is False    # not passed on to L2
     assert h.l1.find(0xC000) is not None
     assert h.l2.contains_addr(0xC000)
-
-
-def test_sfill_request_validates_source_level():
-    with pytest.raises(ValueError):
-        SFillInvRequest(0x1000, 0, 1)
-    with pytest.raises(ValueError):
-        SFillInvRequest(0x1000, 0, 4)
 
 
 def test_spec_clean_invariant_holds():
@@ -360,11 +353,14 @@ def test_multi_domain_write_back_matches_flat_reference(model):
         assert got == flat_replay_reference(events), f"trace {t}"
 
 
-@pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
-def test_speculation_window_write_back_matches_flat_reference(model):
+@pytest.mark.parametrize("model,domains", [
+    pytest.param(m, d, id=m if d == 1 else f"{m}-{d}domains")
+    for d in (1, 3) for m in ("sa-lru", "star-farr", "star-news")])
+def test_speculation_window_write_back_matches_flat_reference(model, domains):
     # windows that commit or squash between plain operations, replayed
-    # from trace text, all in domain 0; a squashed window's stores never
-    # execute, so the reference sees the committed stores only
+    # from trace text; loads come from the first `domains` domains and
+    # stores from domain 0.  A squashed window's stores never execute,
+    # so the reference sees the committed stores only
     for t in range(100):
         h = _hier(model, l1_lines=16, l1_assoc=2, l2_lines=64,
                   debug_checks=True)
@@ -373,30 +369,30 @@ def test_speculation_window_write_back_matches_flat_reference(model):
 
         def op():
             addr = 0x40_0000 + 64 * rng.choose(96) + rng.choose(64)
-            return ("S" if rng.choose(10) < 3 else "L", addr)
+            if rng.choose(10) < 3:
+                return "S", addr, 0
+            return "L", addr, rng.choose(domains) if domains > 1 else 0
 
         while len(lines) < 400:
             if rng.choose(4) == 0:
                 ops = [op() for _ in range(1 + rng.choose(8))]
                 commit = rng.choose(3) != 0
                 lines.append("SPEC_BEGIN")
-                lines += [f"{o} 0x{a:x}" for o, a in ops]
+                lines += [f"{o} 0x{a:x} {d}" for o, a, d in ops]
                 lines.append(f"SPEC_END {'commit' if commit else 'squash'}")
                 if commit:
                     committed += ops
             else:
-                o, a = op()
-                lines.append(f"{o} 0x{a:x}")
-                committed.append((o, a))
+                o, a, d = op()
+                lines.append(f"{o} 0x{a:x} {d}")
+                committed.append((o, a, d))
         replay(parse_trace("\n".join(lines)), h)
         h.drain()
         got = {b: d for b, d in h.memory.nonzero_lines().items() if any(d)}
-        assert got == flat_replay_reference(committed), f"trace {t}"
+        want = flat_replay_reference([(o, a) for o, a, _ in committed])
+        assert got == want, f"trace {t}"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a squash invalidation drops an L2 line that "
-                          "another domain's committed L1 copy still needs")
 @pytest.mark.parametrize("model", ["star-farr", "star-news"])
 def test_squash_keeps_l2_line_under_another_domains_copy(model):
     a = 0x1000
@@ -416,6 +412,23 @@ def test_squash_keeps_l2_line_under_another_domains_copy(model):
         h.load(a + 0x1000 * i, 1)
     h.drain()
     assert h.memory.read_line(a)[0] == 0x5A
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("model", ["star-farr", "star-news"])
+def test_squash_scrubs_a_fresh_line_two_domains_loaded(model, first):
+    # both domains fill one fresh line on the wrong path; the squash
+    # must take every copy out of both levels, whichever loaded first
+    a = 0x1000
+    h = _hier(model, l1_lines=16, l1_assoc=2, l2_lines=64, debug_checks=True)
+    engine = SpecEngine(h)
+    barrier = engine.issue_barrier()
+    engine.issue_load(a, first)
+    engine.issue_load(a, 1 - first)
+    report = engine.squash_from(barrier.id)
+    assert report.sfill_inv_sent == 2
+    assert not h.l1.contains_addr(a)
+    assert not h.l2.contains_addr(a)
 
 
 @pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])

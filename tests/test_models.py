@@ -25,14 +25,13 @@ def _lru(sets=4, assoc=2, **kw):
                        **kw)
 
 
-def _farr(lines=8, seed=5, **kw):
-    return FarrCache(CacheGeometry(64, lines, lines), 1, _Lower(),
-                     Rng(seed), **kw)
+def _farr(lines=8, seed=5):
+    return FarrCache(CacheGeometry(64, lines, lines), 1, _Lower(), Rng(seed))
 
 
-def _news(lines=8, k=2, seed=5, **kw):
+def _news(lines=8, k=2, seed=5):
     return NewsCache(CacheGeometry(64, lines, lines, k), 1, _Lower(),
-                     Rng(seed), **kw)
+                     Rng(seed))
 
 
 def _set_stride(cache):
@@ -169,7 +168,8 @@ def test_farr_random_victims_spread():
 
 
 def test_farr_deterministic_victim_hook():
-    c = _farr(lines=4, deterministic_victim=True)
+    c = _farr(lines=4)
+    c.deterministic_victim = True
     for i in range(4):
         c.access(Op.LOAD, 0x1000 + 64 * i, 0, 0)
     c.access(Op.LOAD, 0x2000, 0, 0)
@@ -234,7 +234,8 @@ def test_news_spec_conflict_forwards_without_fill():
 
 
 def test_news_fill_on_spec_tagmiss_hook():
-    c = _news(lines=8, k=2, fill_on_spec_tagmiss=True)
+    c = _news(lines=8, k=2)
+    c.fill_on_spec_tagmiss = True
     conflict_bit = c.geom.offset_bits + c.geom.index_bits
     a = 0x1000
     b = a ^ (1 << conflict_bit)
