@@ -15,9 +15,8 @@ table lookups and against a bounds-check-bypass gadget) drive the
 models and report recovered secrets, leakage scores, and noise floors.
 """
 
-from .attacks import (run_flush_reload_aes, run_prime_probe_aes,
-                      run_spectre_fr, run_spectre_fr_sweep, run_spectre_pp,
-                      run_spectre_pp_sweep, AttackRun, SweepRun, ATTACK_NAMES)
+from .attacks import (run_flush_reload_aes, run_prime_probe_aes, run_spectre,
+                      run_spectre_sweep, AttackRun, SweepRun, ATTACK_NAMES)
 from .checks import run_selftest, CheckResult
 from .config import ConfigError, RunConfig, load_config
 from .core import CacheGeometry, FlatMemory, Rng
@@ -42,6 +41,5 @@ __all__ = [
     "format_trace", "leakage_score", "load_config", "mi_bits", "noise_floor",
     "parse_trace", "recover_byte", "recover_nibble", "replay",
     "run_flush_reload_aes", "run_prime_probe_aes", "run_selftest",
-    "run_spectre_fr", "run_spectre_fr_sweep", "run_spectre_pp",
-    "run_spectre_pp_sweep", "synth_trace",
+    "run_spectre", "run_spectre_sweep", "synth_trace",
 ]

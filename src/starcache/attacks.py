@@ -1,12 +1,15 @@
 """The four timing-attack harnesses.
 
 Two table-lookup key-recovery experiments (flush-reload and prime-probe
-against first-round AES T-table accesses) and two transient-execution
-covert channels (wrong-path loads squashed after an explicit
-misprediction, received through flush-reload or prime-probe).  Every
+against first-round AES T-table accesses: run_flush_reload_aes and
+run_prime_probe_aes) and two transient-execution covert channels
+(wrong-path loads squashed after an explicit misprediction, received
+through flush-reload or prime-probe).  The covert channels share two
+entry points, run_spectre for one secret and run_spectre_sweep for all
+256, which pick the receiver by kind from the SPECTRE table.  Every
 harness runs victim and attacker against one shared cache hierarchy,
-measures simulated latencies only, and feeds an ObservationMatrix whose
-recovery statistics do the actual guessing.
+measures simulated latencies only (jittered by noise_sigma), and feeds
+an ObservationMatrix whose recovery statistics do the actual guessing.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .core import Rng
 from .engine import SpecEngine
 from .observe import (MIN_SCORE_TRIALS, ObservationMatrix, RecoveryResult,
@@ -156,6 +159,16 @@ def _random_block(rng: Rng) -> bytes:
 
 # -- AES flush-reload --
 
+def _reload(load, addrs, vec: np.ndarray, rnoise: Rng, sigma: float) -> None:
+    """Time a reload of every address (plus jitter when sigma is set)
+    into vec, one element per address."""
+    if sigma:
+        vec[:] = [load(addr, ATTACKER_DOMAIN).latency
+                  + rnoise.gauss(0.0, sigma) for addr in addrs]
+    else:
+        vec[:] = [load(addr, ATTACKER_DOMAIN).latency for addr in addrs]
+
+
 def run_flush_reload_aes(config: RunConfig, key: bytes,
                          trials: int | None = None,
                          seed: int | None = None) -> AttackRun:
@@ -185,12 +198,7 @@ def run_flush_reload_aes(config: RunConfig, key: bytes,
         for addr in aes_first_round_accesses(key, block, tables):
             load(addr, VICTIM_DOMAIN)
         for addrs, vec in zip(region, vecs):
-            if sigma:
-                vec[:] = [load(addr, ATTACKER_DOMAIN).latency
-                          + rnoise.gauss(0.0, sigma) for addr in addrs]
-            else:
-                vec[:] = [load(addr, ATTACKER_DOMAIN).latency
-                          for addr in addrs]
+            _reload(load, addrs, vec, rnoise, sigma)
         decisions = [int(np.argmin(vecs[t][:TABLE_LINES])) for t in range(4)]
         for j in range(KEY_BYTES):
             matrices[j].record(block[j], vecs[j % 4], decisions[j % 4])
@@ -233,8 +241,7 @@ def _pp_layout(config: RunConfig):
     return by_set, n_sets, cols, prime_addrs, probe
 
 
-def _probe(load, probe, vec: np.ndarray, rnoise: Rng | None = None,
-           sigma: float = 0.0) -> None:
+def _probe(load, probe, vec: np.ndarray, rnoise: Rng, sigma: float) -> None:
     """Time every probe load (plus jitter when sigma is set) and store
     the per-column sums in vec.  The sums run in Python floats, in probe
     order, and reach vec in one assignment."""
@@ -328,6 +335,8 @@ def _spectre_fr_runs(config: RunConfig, secrets, trials: int, seed: int,
     pair per secret."""
     root = Rng(seed).fork(label)
     hier = config.build_hierarchy(root.fork("hier"))
+    rnoise = root.fork("noise")
+    sigma = config.noise_sigma
     engine = SpecEngine(hier, config.window_capacity,
                         config.clear_specbit_on_commit)
     sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
@@ -341,7 +350,7 @@ def _spectre_fr_runs(config: RunConfig, secrets, trials: int, seed: int,
             for addr in blocks:
                 flush(addr, ATTACKER_DOMAIN)
             _wrong_path(engine, secret, sender_dom, enter_wrong_path)
-            vec[:] = [load(addr, ATTACKER_DOMAIN).latency for addr in blocks]
+            _reload(load, blocks, vec, rnoise, sigma)
             matrix.record(secret, vec, int(np.argmin(vec)))
         results.append(recover_byte(matrix.mean_latency()[secret], "dip",
                                     config.dip_threshold_cycles))
@@ -359,6 +368,8 @@ def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
     _spectre_fr_runs does."""
     config = pp_experiment_config(config)
     root = Rng(seed).fork(label)
+    rnoise = root.fork("noise")
+    sigma = config.noise_sigma
     sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
     by_set, n_sets, cols, prime_addrs, probe = _pp_layout(config)
     vec = np.empty(cols)
@@ -370,7 +381,7 @@ def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
             hier_b.load(addr, ATTACKER_DOMAIN)
         hier_b.load(SPECTRE_ARRAY1_LINE, sender_dom)
         hier_b.load(SPECTRE_PROBE_BASE + 64 * SPECTRE_INBOUNDS_VALUE, sender_dom)
-        _probe(hier_b.load, probe, vec)
+        _probe(hier_b.load, probe, vec, rnoise, sigma)
         base_sum += vec
     base_fold = _fold(base_sum / trials, n_sets)
 
@@ -385,7 +396,7 @@ def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
             for addr in prime_addrs:
                 hier.load(addr, ATTACKER_DOMAIN)
             _wrong_path(engine, secret, sender_dom, enter_wrong_path)
-            _probe(hier.load, probe, vec)
+            _probe(hier.load, probe, vec, rnoise, sigma)
             matrix.record(secret, vec,
                           int(np.argmax(_fold(vec, n_sets) - base_fold)))
         diff = _fold(matrix.mean_latency()[secret], n_sets) - base_fold
@@ -393,66 +404,49 @@ def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
     return root, matrix, results
 
 
-def run_spectre_fr(config: RunConfig, secret: int,
-                   trials: int | None = None, seed: int | None = None,
-                   same_domain: bool = True,
-                   enter_wrong_path: bool = True) -> AttackRun:
-    """Flush-reload Spectre for one secret byte."""
+# kind -> (receiver, default trials per secret)
+SPECTRE = {"fr-spectre": (_spectre_fr_runs, SPECTRE_FR_TRIALS),
+           "pp-spectre": (_spectre_pp_runs, SPECTRE_PP_TRIALS)}
+ATTACK_NAMES = ("fr-aes", "pp-aes", *SPECTRE)
+
+
+def _spectre_receiver(kind: str):
+    if kind not in SPECTRE:
+        raise ValueError(f"unknown spectre kind {kind!r}; "
+                         f"choose from {', '.join(SPECTRE)}")
+    return SPECTRE[kind]
+
+
+def run_spectre(config: RunConfig, kind: str, secret: int,
+                trials: int | None = None, seed: int | None = None,
+                same_domain: bool = True,
+                enter_wrong_path: bool = True) -> AttackRun:
+    """Spectre v1 for one secret byte, received by flush-reload
+    (fr-spectre) or by prime-probe on the two-way experiment geometry
+    (pp-spectre, see pp_experiment_config)."""
+    runs, default_trials = _spectre_receiver(kind)
     if not 0 <= secret <= 255:
-        raise ValueError("secret is one byte")
-    trials, seed = _trials_seed(config, trials, seed, SPECTRE_FR_TRIALS)
-    _, matrix, [(recovered, margin)] = _spectre_fr_runs(
-        config, [secret], trials, seed, "fr-spectre", same_domain,
-        enter_wrong_path)
-    return AttackRun("fr-spectre", config.model, trials, seed, matrix,
+        raise ConfigError(f"secret must be one byte (0..255), got {secret}")
+    trials, seed = _trials_seed(config, trials, seed, default_trials)
+    _, matrix, [(recovered, margin)] = runs(
+        config, [secret], trials, seed, kind, same_domain, enter_wrong_path)
+    return AttackRun(kind, config.model, trials, seed, matrix,
                      recovered=recovered, margin=margin,
                      params={"secret": secret, "same_domain": same_domain,
                              "wrong_path": enter_wrong_path})
 
 
-def run_spectre_fr_sweep(config: RunConfig, trials_per_secret: int | None = None,
-                         seed: int | None = None,
-                         same_domain: bool = True) -> SweepRun:
-    """run_spectre_fr over every secret value, one shared hierarchy."""
+def run_spectre_sweep(config: RunConfig, kind: str,
+                      trials_per_secret: int | None = None,
+                      seed: int | None = None,
+                      same_domain: bool = True) -> SweepRun:
+    """run_spectre over every secret value on one shared hierarchy;
+    pp-spectre measures its secret-independent baseline once."""
+    runs, default_trials = _spectre_receiver(kind)
     trials, seed = _trials_seed(config, trials_per_secret, seed,
-                                SPECTRE_FR_TRIALS)
-    root, matrix, results = _spectre_fr_runs(
-        config, range(256), trials, seed, "fr-spectre-sweep", same_domain, True)
-    return SweepRun("fr-spectre", config.model, trials, seed, matrix,
+                                default_trials)
+    root, matrix, results = runs(config, range(256), trials, seed,
+                                 f"{kind}-sweep", same_domain, True)
+    return SweepRun(kind, config.model, trials, seed, matrix,
                     [r for r, _ in results], [m for _, m in results],
                     *_maybe_scores(matrix, root.fork("floor")))
-
-
-def run_spectre_pp(config: RunConfig, secret: int,
-                   trials: int | None = None, seed: int | None = None,
-                   same_domain: bool = True,
-                   enter_wrong_path: bool = True) -> AttackRun:
-    """Prime-probe Spectre for one secret byte, on the two-way
-    experiment geometry (pp_experiment_config)."""
-    if not 0 <= secret <= 255:
-        raise ValueError("secret is one byte")
-    trials, seed = _trials_seed(config, trials, seed, SPECTRE_PP_TRIALS)
-    _, matrix, [(recovered, margin)] = _spectre_pp_runs(
-        config, [secret], trials, seed, "pp-spectre", same_domain,
-        enter_wrong_path)
-    return AttackRun("pp-spectre", config.model, trials, seed, matrix,
-                     recovered=recovered, margin=margin,
-                     params={"secret": secret, "same_domain": same_domain,
-                             "wrong_path": enter_wrong_path})
-
-
-def run_spectre_pp_sweep(config: RunConfig, trials_per_secret: int | None = None,
-                         seed: int | None = None,
-                         same_domain: bool = True) -> SweepRun:
-    """run_spectre_pp over every secret; the secret-independent baseline
-    is measured once and shared."""
-    trials, seed = _trials_seed(config, trials_per_secret, seed,
-                                SPECTRE_PP_TRIALS)
-    root, matrix, results = _spectre_pp_runs(
-        config, range(256), trials, seed, "pp-spectre-sweep", same_domain, True)
-    return SweepRun("pp-spectre", config.model, trials, seed, matrix,
-                    [r for r, _ in results], [m for _, m in results],
-                    *_maybe_scores(matrix, root.fork("floor")))
-
-
-ATTACK_NAMES = ("fr-aes", "pp-aes", "fr-spectre", "pp-spectre")

@@ -406,10 +406,10 @@ def check_squash_fraction(quick: bool) -> CheckResult:
 # -- determinism --
 
 def check_determinism(quick: bool) -> CheckResult:
-    from .attacks import run_spectre_fr
+    from .attacks import run_spectre
     cfg = RunConfig(model="star-farr").validate()
-    a = run_spectre_fr(cfg, secret=30, trials=4)
-    b = run_spectre_fr(cfg, secret=30, trials=4)
+    a = run_spectre(cfg, "fr-spectre", secret=30, trials=4)
+    b = run_spectre(cfg, "fr-spectre", secret=30, trials=4)
     same = (np.array_equal(a.matrix.lat_sum, b.matrix.lat_sum)
             and np.array_equal(a.matrix.dec_cnt, b.matrix.dec_cnt)
             and a.recovered == b.recovered)

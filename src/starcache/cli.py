@@ -21,10 +21,9 @@ from .config import ConfigError, RunConfig, load_config
 from .core import Rng
 from .engine import SpecEngine
 from .models import MODEL_NAMES
+from .observe import write_csv
 from .trace import (PROFILES, ReplayStats, TraceParseError, parse_trace,
                     replay, synth_trace)
-
-SWEEP_KINDS = ("fr-spectre", "pp-spectre")
 
 _CONFIG_FLAGS = ("model", "k", "seed", "trials", "l1_hit_cycles",
                  "l2_hit_cycles", "memory_cycles", "noise_sigma",
@@ -95,14 +94,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
         run = attacks.run_flush_reload_aes(cfg, _parse_key(args.key))
     elif kind == "pp-aes":
         run = attacks.run_prime_probe_aes(cfg, _parse_key(args.key))
-    elif kind == "fr-spectre":
-        run = attacks.run_spectre_fr(cfg, args.secret,
-                                     same_domain=not args.cross_domain,
-                                     enter_wrong_path=not args.skip_wrong_path)
     else:
-        run = attacks.run_spectre_pp(cfg, args.secret,
-                                     same_domain=not args.cross_domain,
-                                     enter_wrong_path=not args.skip_wrong_path)
+        run = attacks.run_spectre(cfg, kind, args.secret,
+                                  same_domain=not args.cross_domain,
+                                  enter_wrong_path=not args.skip_wrong_path)
     if kind == "pp-spectre":
         # that harness pins its own l1 geometry; echo what actually ran
         cfg = attacks.pp_experiment_config(cfg)
@@ -128,26 +123,18 @@ def cmd_attack(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
     kind = args.kind
-    if kind == "fr-spectre":
-        run = attacks.run_spectre_fr_sweep(
-            cfg, same_domain=not args.cross_domain)
-    else:
-        run = attacks.run_spectre_pp_sweep(
-            cfg, same_domain=not args.cross_domain)
+    run = attacks.run_spectre_sweep(cfg, kind,
+                                    same_domain=not args.cross_domain)
+    if kind == "pp-spectre":
         cfg = attacks.pp_experiment_config(cfg)
     header = _echo(cfg, {"attack": kind, "sweep": "secret 0..255",
                          "run_trials": run.trials_per_secret,
                          "run_seed": run.seed})
     base = f"{kind}-sweep-{cfg.model}"
-    with open(_out_path(cfg, f"{base}-secrets.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        for key, val in header:
-            fh.write(f"# {key}={val}\n")
-        fh.write("secret,recovered,margin\n")
-        for s in range(256):
-            got = run.recovered[s]
-            fh.write(f"{s},{'NONE' if got is None else got},"
-                     f"{run.margins[s]:.6f}\n")
+    write_csv(_out_path(cfg, f"{base}-secrets.csv"), header,
+              ("secret", "recovered", "margin"),
+              ((s, "NONE" if got is None else got, margin) for s, (got, margin)
+               in enumerate(zip(run.recovered, run.margins))))
     run.matrix.write_csv(_out_path(cfg, f"{base}-matrix.csv"), header)
     _write_json(_out_path(cfg, f"{base}-summary.json"), run.summary())
     print(f"{kind} sweep on {cfg.model}: "
@@ -201,14 +188,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
             cfg_k = dataclasses.replace(cfg, k=k).validate()
             rows.append((k, _stats_for(cfg_k, events)))
         path = _out_path(cfg, f"replay-{cfg.model}-ksweep.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for key, val in _echo(cfg, source):
-                fh.write(f"# {key}={val}\n")
-            fh.write("k," + ",".join(ReplayStats.FIELDS) + "\n")
-            for k, stats in rows:
-                cells = [f"{v:.6f}" if isinstance(v, float) else str(v)
-                         for v in stats.as_dict().values()]
-                fh.write(f"{k}," + ",".join(cells) + "\n")
+        write_csv(path, _echo(cfg, source), ("k", *ReplayStats.FIELDS),
+                  ((k, *stats.as_dict().values()) for k, stats in rows))
         print(f"{'k':>4} {'tagmiss_forward_nofill':>24} {'l1_hits':>10}")
         for k, stats in rows:
             print(f"{k:>4} {stats.tagmiss_forward_nofill:>24} "
@@ -218,13 +199,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
     stats = _stats_for(cfg, events)
     path = _out_path(cfg, f"replay-{cfg.model}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, val in _echo(cfg, source):
-            fh.write(f"# {key}={val}\n")
-        fh.write("stat,value\n")
-        for name, v in stats.as_dict().items():
-            fh.write(f"{name},{v:.6f}\n" if isinstance(v, float)
-                     else f"{name},{v}\n")
+    write_csv(path, _echo(cfg, source), ("stat", "value"),
+              stats.as_dict().items())
     width = max(len(n) for n in ReplayStats.FIELDS)
     for name, v in stats.as_dict().items():
         shown = f"{v:.6f}" if isinstance(v, float) else str(v)
@@ -264,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("sweep", help="run a spectre harness over all secrets")
-    p.add_argument("kind", choices=SWEEP_KINDS)
+    p.add_argument("kind", choices=tuple(attacks.SPECTRE))
     p.add_argument("--cross-domain", action="store_true")
     _add_shared(p)
     p.set_defaults(func=cmd_sweep)
@@ -299,10 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceParseError) as exc:
-        print(f"starcache: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, TraceParseError, OSError) as exc:
         print(f"starcache: error: {exc}", file=sys.stderr)
         return 2
 

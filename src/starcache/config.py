@@ -10,6 +10,7 @@ preamble plus the seed.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Mapping, get_args, get_type_hints
@@ -67,10 +68,9 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
         if not 0.0 < self.vote_threshold <= 1.0:
             raise ConfigError("vote_threshold must lie in (0, 1]")
-        if self.dip_threshold_cycles < 0:
-            raise ConfigError("dip_threshold_cycles must be non-negative")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        for name in ("dip_threshold_cycles", "noise_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:     # NaN fails too
+                raise ConfigError(f"{name} must be finite and non-negative")
         try:
             self.l1_geometry()
             self.l2_geometry()

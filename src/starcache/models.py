@@ -141,8 +141,6 @@ class SetAssocLru:
     entirely, while an L2 serving the hardened models honours them.
     """
 
-    kind = "sa-lru"
-
     def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
                  secure_inval: bool = False, level: int = 1):
         if geometry.extra_index_bits:
@@ -366,8 +364,6 @@ class FarrCache(_SlotCache):
     """Fully associative cache, uniform random replacement, domain-checked
     hits.  The lookup key is (line base, domain): one copy per domain."""
 
-    kind = "star-farr"
-
     def find(self, addr: int, domain: int) -> CacheLineMeta | None:
         slot = self._keys.get((addr & self._line_mask, domain))
         return None if slot is None else self._slots[slot]
@@ -421,7 +417,6 @@ class NewsCache(_SlotCache):
     access replaces the conflicting line in place.
     """
 
-    kind = "star-news"
     # fault-injection hook for the self test: treat the speculative
     # conflict like the non-speculative one (fill anyway)
     fill_on_spec_tagmiss = False

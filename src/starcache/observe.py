@@ -70,20 +70,24 @@ class ObservationMatrix:
     def write_csv(self, path: str, header_items=()) -> None:
         """Long-form CSV: row,col,mean_latency,trials; zero-trial cells
         are skipped."""
-        mean = self.mean_latency()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for key, val in header_items:
-                fh.write(f"# {key}={val}\n")
-            fh.write(f"{self.row_label},{self.col_label},mean_latency,trials\n")
-            for r in range(self.rows):
-                row_cnt = self.lat_cnt[r]
-                if not row_cnt.any():
-                    continue
-                for c in range(self.cols):
-                    n = row_cnt[c]
-                    if n == 0:
-                        continue
-                    fh.write(f"{r},{c},{mean[r, c]:.6f},{n}\n")
+        r, c = np.nonzero(self.lat_cnt)
+        mean = self.mean_latency()[r, c]
+        write_csv(path, header_items,
+                  (self.row_label, self.col_label, "mean_latency", "trials"),
+                  zip(r.tolist(), c.tolist(), mean.tolist(),
+                      self.lat_cnt[r, c].tolist()))
+
+
+def write_csv(path: str, header_items, columns, rows) -> None:
+    """A "# key=value" line per header item, the column names, then one
+    line per row, with floats written as %.6f."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for key, val in header_items:
+            fh.write(f"# {key}={val}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def mi_bits(counts: np.ndarray) -> float:

@@ -99,11 +99,11 @@ def test_c02_prime_probe_aes_full_scale():
 
 def test_c03_spectre_fr_all_secrets():
     parts = []
-    run = attacks.run_spectre_fr_sweep(_cfg("sa-lru"))
+    run = attacks.run_spectre_sweep(_cfg("sa-lru"), "fr-spectre")
     ok = run.exact_count == 256
     parts.append(f"sa-lru {run.exact_count}/256 exact")
     for model in STAR_MODELS:
-        sweep = attacks.run_spectre_fr_sweep(_cfg(model))
+        sweep = attacks.run_spectre_sweep(_cfg(model), "fr-spectre")
         ok &= sweep.none_count == 256
         parts.append(f"{model} {sweep.none_count}/256 NONE")
     assert _report("C3", ok, "; ".join(parts))
@@ -111,11 +111,11 @@ def test_c03_spectre_fr_all_secrets():
 
 def test_c04_spectre_pp_all_secrets():
     parts = []
-    run = attacks.run_spectre_pp_sweep(_cfg("sa-lru"))
+    run = attacks.run_spectre_sweep(_cfg("sa-lru"), "pp-spectre")
     ok = run.exact_count >= 250
     parts.append(f"sa-lru {run.exact_count}/256 exact (needs >=250)")
     for model in STAR_MODELS:
-        sweep = attacks.run_spectre_pp_sweep(_cfg(model))
+        sweep = attacks.run_spectre_sweep(_cfg(model), "pp-spectre")
         ok &= sweep.none_count == 256
         parts.append(f"{model} {sweep.none_count}/256 NONE")
     assert _report("C4", ok, "; ".join(parts))

@@ -3,8 +3,8 @@ import pytest
 
 from starcache.attacks import (AesTables, aes_first_round_accesses,
                                pp_experiment_config, run_flush_reload_aes,
-                               run_prime_probe_aes, run_spectre_fr,
-                               run_spectre_fr_sweep, run_spectre_pp)
+                               run_prime_probe_aes, run_spectre,
+                               run_spectre_sweep)
 from starcache.config import RunConfig
 
 KEY_ZERO = bytes(16)
@@ -61,62 +61,65 @@ def test_pp_aes_recovers_on_conventional_only():
 
 
 def test_spectre_fr_single_secret():
-    run = run_spectre_fr(_cfg("sa-lru"), secret=123, trials=4)
+    run = run_spectre(_cfg("sa-lru"), "fr-spectre", secret=123, trials=4)
     assert run.recovered == 123
     assert run.margin > 6.0
     assert run.summary()["recovered"] == 123
 
 
 def test_spectre_fr_needs_the_wrong_path():
-    run = run_spectre_fr(_cfg("sa-lru"), secret=123, trials=4,
-                         enter_wrong_path=False)
+    run = run_spectre(_cfg("sa-lru"), "fr-spectre", secret=123, trials=4,
+                      enter_wrong_path=False)
     assert run.recovered is None
 
 
 def test_spectre_fr_cross_domain():
-    assert run_spectre_fr(_cfg("sa-lru"), 55, trials=4,
-                          same_domain=False).recovered == 55
+    assert run_spectre(_cfg("sa-lru"), "fr-spectre", 55, trials=4,
+                       same_domain=False).recovered == 55
     for model in ("star-farr", "star-news"):
-        run = run_spectre_fr(_cfg(model), 55, trials=4, same_domain=False)
+        run = run_spectre(_cfg(model), "fr-spectre", 55, trials=4,
+                          same_domain=False)
         assert run.recovered is None
 
 
 def test_spectre_fr_blind_on_hardened_models():
     for model in ("star-farr", "star-news"):
-        run = run_spectre_fr(_cfg(model), secret=123, trials=4)
+        run = run_spectre(_cfg(model), "fr-spectre", secret=123, trials=4)
         assert run.recovered is None
         assert run.summary()["recovered"] == "NONE"
 
 
 def test_spectre_rejects_wide_secret():
     with pytest.raises(ValueError):
-        run_spectre_fr(_cfg("sa-lru"), secret=256, trials=1)
+        run_spectre(_cfg("sa-lru"), "fr-spectre", secret=256, trials=1)
 
 
 def test_spectre_fr_deterministic():
-    a = run_spectre_fr(_cfg("sa-lru"), 99, trials=4)
-    b = run_spectre_fr(_cfg("sa-lru"), 99, trials=4)
+    a = run_spectre(_cfg("sa-lru"), "fr-spectre", 99, trials=4)
+    b = run_spectre(_cfg("sa-lru"), "fr-spectre", 99, trials=4)
     assert np.array_equal(a.matrix.lat_sum, b.matrix.lat_sum)
     assert np.array_equal(a.matrix.dec_cnt, b.matrix.dec_cnt)
 
 
 def test_spectre_fr_sweep_counts():
     # 4 trials x 256 secrets clears the decision-count gate for scoring
-    run = run_spectre_fr_sweep(_cfg("sa-lru"), trials_per_secret=4)
+    run = run_spectre_sweep(_cfg("sa-lru"), "fr-spectre",
+                            trials_per_secret=4)
     assert run.exact_count == 256 and run.none_count == 0
     summary = run.summary()
     assert summary["exact"] == 256 and summary["none"] == 0
     assert summary["leakage_score_bits"] is not None
 
-    run = run_spectre_fr_sweep(_cfg("star-farr"), trials_per_secret=2)
+    run = run_spectre_sweep(_cfg("star-farr"), "fr-spectre",
+                            trials_per_secret=2)
     assert run.none_count == 256 and run.exact_count == 0
 
 
 def test_spectre_pp_single_secret():
-    run = run_spectre_pp(_cfg("sa-lru"), secret=200, trials=8)
+    run = run_spectre(_cfg("sa-lru"), "pp-spectre", secret=200, trials=8)
     assert run.recovered == 200
     for model in ("star-farr", "star-news"):
-        run = run_spectre_pp(_cfg(model), secret=200, trials=8)
+        run = run_spectre(_cfg(model), "pp-spectre", secret=200, trials=8)
         assert run.recovered is None
 
 
@@ -128,5 +131,5 @@ def test_pp_experiment_pins_two_way_l1():
 
 
 def test_trials_default_comes_from_config():
-    run = run_spectre_fr(_cfg("sa-lru", trials=3), secret=5)
+    run = run_spectre(_cfg("sa-lru", trials=3), "fr-spectre", secret=5)
     assert run.trials == 3

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
-from starcache.cli import main
+from starcache import attacks
+from starcache.cli import build_parser, main
+from starcache.config import RunConfig
 
 
 def _files_digest(root):
@@ -38,6 +40,59 @@ def test_attack_rejects_bad_key(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "starcache: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", attacks.SPECTRE)
+@pytest.mark.parametrize("secret", ["300", "-1"])
+def test_attack_rejects_out_of_range_secret(tmp_path, capsys, kind, secret):
+    out = tmp_path / "o"
+    rc = main(["attack", kind, "--secret", secret, "--trials", "1",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starcache: error:") and secret in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise-sigma", "--dip-threshold-cycles"])
+def test_attack_rejects_nan_threshold_flags(tmp_path, capsys, flag):
+    rc = main(["attack", "fr-spectre", "--model", "star-farr", flag, "nan",
+               "--trials", "1", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def _kind_choices(command: str) -> tuple:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    kind = next(a for a in sub.choices[command]._actions if a.dest == "kind")
+    return tuple(kind.choices)
+
+
+def test_kind_choices_come_from_the_attack_tables():
+    assert _kind_choices("attack") == attacks.ATTACK_NAMES
+    assert _kind_choices("sweep") == tuple(attacks.SPECTRE)
+    cfg = RunConfig().validate()
+    with pytest.raises(ValueError, match="unknown spectre kind"):
+        attacks.run_spectre(cfg, "xx-spectre", 1, trials=1)
+    with pytest.raises(ValueError, match="unknown spectre kind"):
+        attacks.run_spectre_sweep(cfg, "fr-aes", trials_per_secret=1)
+
+
+@pytest.mark.parametrize("kind", attacks.SPECTRE)
+def test_spectre_noise_sigma_jitters_the_matrix(tmp_path, kind):
+    def body(sigma: str, out: str) -> list:
+        assert main(["attack", kind, "--model", "sa-lru", "--trials", "2",
+                     "--noise-sigma", sigma, "--out",
+                     str(tmp_path / out)]) == 0
+        text = (tmp_path / out / f"{kind}-sa-lru-matrix.csv").read_text()
+        return [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+    jittered = body("5", "noisy")
+    first = _files_digest(tmp_path / "noisy")
+    assert jittered != body("0", "quiet")
+    body("5", "noisy")
+    assert _files_digest(tmp_path / "noisy") == first
 
 
 def test_attack_rejects_unknown_model():
