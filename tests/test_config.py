@@ -89,12 +89,12 @@ def test_missing_config_file():
     ({"seed": -1}, "non-negative"),
     ({"vote_threshold": 0.0}, "vote_threshold"),
     ({"noise_sigma": -0.5}, "noise_sigma"),
+    ({"l1_lines": 500}, "power of two"),
     ({"noise_sigma": float("nan")}, "noise_sigma must be finite"),
     ({"noise_sigma": float("inf")}, "noise_sigma must be finite"),
     ({"dip_threshold_cycles": float("nan")}, "dip_threshold_cycles"),
     ({"dip_threshold_cycles": float("inf")}, "dip_threshold_cycles"),
     ({"dip_threshold_cycles": float("-inf")}, "dip_threshold_cycles"),
-    ({"l1_lines": 500}, "power of two"),
 ])
 def test_validation_rejections(kw, fragment):
     with pytest.raises(ConfigError) as info:
