@@ -64,8 +64,8 @@ class RunConfig:
             raise ConfigError("window_capacity must be at least 1")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not 0 <= self.seed < 1 << 64:     # the Rng keeps 64 bits
+            raise ConfigError("seed must be non-negative and below 2**64")
         if not 0.0 < self.vote_threshold <= 1.0:
             raise ConfigError("vote_threshold must lie in (0, 1]")
         for name in ("dip_threshold_cycles", "noise_sigma"):

@@ -189,14 +189,18 @@ class FlatMemory:
     Unwritten lines read as zeros.  read_line never allocates state, so
     reading is side-effect free and a snapshot taken before a read
     equals one taken after.
+
+    It is the bottom level of a hierarchy: fetch serves the level above
+    a line as source level 3 after cycles, and writeback stores one.
     """
 
-    __slots__ = ("line_size", "_line_mask", "_lines", "_zero")
+    __slots__ = ("line_size", "cycles", "_line_mask", "_lines", "_zero")
 
-    def __init__(self, line_size: int = 64):
+    def __init__(self, line_size: int = 64, cycles: int = 100):
         if not _is_pow2(line_size):
             raise ValueError("line_size must be a power of two")
         self.line_size = line_size
+        self.cycles = cycles
         self._line_mask = ~(line_size - 1)
         self._lines: dict[int, bytes] = {}
         self._zero = bytes(line_size)
@@ -213,6 +217,12 @@ class FlatMemory:
         if not 0 <= addr < ADDRESS_LIMIT:
             raise ValueError(f"address 0x{addr:x} outside the 48-bit space")
         self._lines[addr & self._line_mask] = bytes(data)
+
+    def fetch(self, addr: int, domain: int, spec_bit: int):
+        return self.read_line(addr), 3, self.cycles
+
+    def writeback(self, base: int, domain: int, data) -> None:
+        self.write_line(base, data)
 
     def nonzero_lines(self) -> dict[int, bytes]:
         """Copy of every line that was ever written (zeros included)."""

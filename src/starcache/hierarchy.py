@@ -1,9 +1,12 @@
 """Two-level inclusive write-back hierarchy.
 
 L1 is one of the three cache models; L2 is always a conventional
-set-associative LRU cache.  Latency is additive along the path that
-served an access: an L1 hit costs l1_hit_cycles, an L2 hit adds
-l2_hit_cycles, a memory fetch adds memory_cycles on top of both.
+set-associative LRU cache.  The levels stack directly: L1's lower is
+L2 and L2's lower is the flat memory, so a miss fetches through the
+level below and an eviction writes back into it.  Latency is additive
+along the path that served an access: an L1 hit costs l1_hit_cycles,
+an L2 hit adds l2_hit_cycles, a memory fetch adds memory_cycles on top
+of both.
 
 Inclusion is by address: any address valid in L1 is also valid in L2
 (the forward-without-fill outcome leaves lines that exist only in L2,
@@ -34,61 +37,12 @@ payload rather than writing into the one it holds.
 from __future__ import annotations
 
 from .core import CacheGeometry, FlatMemory, Rng
-from .models import (AccessKind, AccessOutcome, FarrCache, NewsCache, Op,
-                     SetAssocLru, SFillAction)
+from .models import (AccessOutcome, FarrCache, NewsCache, Op, SetAssocLru,
+                     SFillAction)
 
 _LOAD = Op.LOAD
 _STORE = Op.STORE
-_HIT = AccessKind.HIT
 _PROPAGATE = SFillAction.PROPAGATE
-
-
-class _MemoryPort:
-    """Bottom of the stack: line fetches and write-backs against flat
-    memory."""
-
-    __slots__ = ("memory", "cycles")
-
-    def __init__(self, memory: FlatMemory, cycles: int):
-        self.memory = memory
-        self.cycles = cycles
-
-    def fetch(self, addr: int, domain: int, spec_bit: int):
-        return self.memory.read_line(addr), 3, self.cycles
-
-    def writeback(self, base: int, domain: int, data) -> None:
-        self.memory.write_line(base, data)
-
-
-class _L2Port:
-    """L1's view of the rest of the hierarchy: a miss fetches through L2
-    (filling it from memory on an L2 miss), an eviction writes back into
-    the L2 line."""
-
-    __slots__ = ("l2", "_sets", "_line_mask", "_offset_bits", "_setmask")
-
-    def __init__(self, l2: SetAssocLru):
-        self.l2 = l2
-        # an access leaves its line in its set, so fetch reads the
-        # payload from there rather than looking the line up again
-        self._sets = l2._sets
-        self._line_mask = l2._line_mask
-        self._offset_bits = l2._offset_bits
-        self._setmask = l2._setmask
-
-    def fetch(self, addr: int, domain: int, spec_bit: int):
-        # looked up per call: a tracer may wrap the instance's access
-        out = self.l2.access(_LOAD, addr, domain, spec_bit)
-        base = addr & self._line_mask
-        data = self._sets[(base >> self._offset_bits) & self._setmask][base].data
-        return data, 2 if out.kind is _HIT else 3, out.latency
-
-    def writeback(self, base: int, domain: int, data) -> None:
-        rec = self.l2.find(base)
-        assert rec is not None, "write-back target missing from L2"
-        rec.data = bytes(data)
-        rec.dirty = 1
-        rec.spec_bit = 0    # stored data is architectural
 
 
 class Hierarchy:
@@ -105,26 +59,22 @@ class Hierarchy:
                 raise ValueError(f"{name} must be at least 1, got {lat}")
         if l1_geometry.line_size != l2_geometry.line_size:
             raise ValueError("levels must share one line size")
-        self.model = model
         # the hardened models flush only the caller's own copies
         self._own_only = model != "sa-lru"
-        self.rng = rng
         self.debug_checks = debug_checks
-        self.memory = FlatMemory(l1_geometry.line_size)
+        self.memory = FlatMemory(l1_geometry.line_size, memory_cycles)
         self._line_mask = ~(l1_geometry.line_size - 1)
 
-        self.l2 = SetAssocLru(l2_geometry, l2_hit_cycles,
-                              _MemoryPort(self.memory, memory_cycles),
-                              secure_inval=(model != "sa-lru"), level=2)
-        self.l2.on_evict = self._back_invalidate
-        port = _L2Port(self.l2)
+        l2 = self.l2 = SetAssocLru(l2_geometry, l2_hit_cycles, self.memory,
+                                   secure_inval=self._own_only, level=2)
+        l2.on_evict = self._back_invalidate
         if model == "sa-lru":
-            self.l1 = SetAssocLru(l1_geometry, l1_hit_cycles, port,
+            self.l1 = SetAssocLru(l1_geometry, l1_hit_cycles, l2,
                                   secure_inval=False, level=1)
         elif model == "star-farr":
-            self.l1 = FarrCache(l1_geometry, l1_hit_cycles, port, rng)
+            self.l1 = FarrCache(l1_geometry, l1_hit_cycles, l2, rng)
         elif model == "star-news":
-            self.l1 = NewsCache(l1_geometry, l1_hit_cycles, port, rng)
+            self.l1 = NewsCache(l1_geometry, l1_hit_cycles, l2, rng)
         else:
             raise ValueError(f"unknown model {model!r}")
 
@@ -245,7 +195,7 @@ class Hierarchy:
         for rec in list(self.l1.valid_lines()):
             self.l1.flush_line(rec.base, rec.domain, True)
             if rec.dirty:
-                self.l1.lower.writeback(rec.base, rec.domain, rec.data)
+                self.l2.writeback(rec.base, rec.domain, rec.data)
         for rec in list(self.l2.valid_lines()):
             self.l2.flush_line(rec.base, rec.domain, False)
             if rec.dirty:
@@ -276,12 +226,14 @@ class Hierarchy:
             assert not (rec.spec_bit and rec.dirty), \
                 f"speculative L2 line 0x{rec.base:x} is dirty"
         if isinstance(self.l1, NewsCache):
+            l1 = self.l1
             seen = set()
-            for (dom, idx), slot in self.l1._keys.items():
-                rec = self.l1._slots[slot]
-                assert rec is not None and rec.domain == dom and rec.index == idx, \
+            for (dom, idx), slot in l1._keys.items():
+                rec = l1._slots[slot]
+                assert (rec is not None and rec.domain == dom and
+                        (rec.base >> l1._offset_bits) & l1._index_mask == idx), \
                     "mapping entry points at the wrong line"
                 assert slot not in seen
                 seen.add(slot)
-            valid = sum(1 for r in self.l1._slots if r is not None)
-            assert len(self.l1._keys) == valid, "mapping entry per valid line"
+            valid = sum(1 for r in l1._slots if r is not None)
+            assert len(l1._keys) == valid, "mapping entry per valid line"

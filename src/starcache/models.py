@@ -30,6 +30,18 @@ bytearray on its first store.  Nothing else writes a payload in place:
 a write-back into L2 or a flush resync replaces the L2 payload with
 fresh bytes.  So a shared buffer is never written.
 
+Levels stack: each one's lower is the level below it, and a level
+passes up what it cannot serve through two calls every level answers.
+fetch(addr, domain, spec_bit) returns (payload, source level, cycles
+below), and writeback(base, domain, data) takes a dirty line coming
+down.  The set-associative cache answers both as an L2 does, and the
+flat memory in core answers them as the bottom level.
+
+A line is known by its base (the address with its offset bits
+cleared).  NEWS finds a line through its (domain, index) mapping entry;
+once the index matches, its tag matches exactly when the base does, so
+the tag match is a base match.
+
 Every model also answers "which lines hold this base?" without
 scanning (lines_at, contains_addr): the set-associative cache through
 its per-set dict, the two random-slot designs through a base index
@@ -64,6 +76,7 @@ class SFillAction(enum.Enum):
 
 # The access paths compare against these instead of looking the members
 # up on their enum classes on every call.
+_LOAD = Op.LOAD
 _STORE = Op.STORE
 _HIT = AccessKind.HIT
 _FILLED = AccessKind.MISS_FILLED
@@ -121,12 +134,10 @@ class CacheLineMeta:
     """One resident line.  Presence in the model's lookup structures is
     what makes it valid; freed slots hold no record."""
 
-    __slots__ = ("base", "tag", "index", "domain", "spec_bit", "dirty", "data")
+    __slots__ = ("base", "domain", "spec_bit", "dirty", "data")
 
-    def __init__(self, base, tag, index, domain, spec_bit, dirty, data):
+    def __init__(self, base, domain, spec_bit, dirty, data):
         self.base = base
-        self.tag = tag
-        self.index = index
         self.domain = domain
         self.spec_bit = spec_bit
         self.dirty = dirty
@@ -146,7 +157,6 @@ class SetAssocLru:
         if geometry.extra_index_bits:
             raise ValueError("set-associative model takes no extra index bits")
         self.geom = geometry
-        self.hit_cycles = hit_cycles
         self.lower = lower
         self.secure_inval = secure_inval
         self.level = level
@@ -205,11 +215,29 @@ class SetAssocLru:
                 self.lower.writeback(vbase, vrec.domain, vrec.data)
             if self.on_evict is not None:
                 self.on_evict(vbase)
-        rec = od[base] = CacheLineMeta(base, base >> self._offset_bits, 0,
-                                       domain, spec_bit, 0, data)
+        rec = od[base] = CacheLineMeta(base, domain, spec_bit, 0, data)
         if op is _STORE:
             _store(rec, addr - base, value)
         return self._filled[below << 2 | source]
+
+    def fetch(self, addr: int, domain: int, spec_bit: int):
+        """Serve a miss from the level above: load addr's line here,
+        filling it from below first on a miss."""
+        # looked up per call: a tracer may wrap the instance's access
+        out = self.access(_LOAD, addr, domain, spec_bit)
+        # the access left the line in its set; read the payload there
+        base = addr & self._line_mask
+        data = self._sets[(base >> self._offset_bits) & self._setmask][base].data
+        return data, 2 if out.kind is _HIT else 3, out.latency
+
+    def writeback(self, base: int, domain: int, data) -> None:
+        """Land a dirty line from the level above in its line here,
+        which inclusion keeps resident."""
+        rec = self.find(base)
+        assert rec is not None, "write-back target missing from L2"
+        rec.data = bytes(data)
+        rec.dirty = 1
+        rec.spec_bit = 0    # stored data is architectural
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool) -> CacheLineMeta | None:
@@ -258,7 +286,6 @@ class _SlotCache:
     def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
                  rng: Rng, level: int = 1):
         self.geom = geometry
-        self.hit_cycles = hit_cycles
         self.lower = lower
         self.rng = rng
         self.level = level
@@ -319,18 +346,17 @@ class _SlotCache:
             self.lower.writeback(rec.base, rec.domain, rec.data)
         self._release(slot)
 
-    def _random_valid_slot(self) -> int | None:
-        """A uniformly random valid slot, None when all are free.
+    def _random_valid_slot(self) -> int:
+        """A uniformly random valid slot.
 
-        Draws slots until one is valid.  The loop ends: one slot at
-        least is valid, and the Rng's outputs run through every 64-bit
-        value once per period, so every slot is drawn within one period;
-        the expected number of draws is line_count / valid lines.  A
-        direct draw over the valid slots would consume the stream
-        differently and move every seeded output.
+        Callers draw only when one slot at least is valid: on an empty
+        free list, or on a NEWS mapping hit.  Draws slots until one is
+        valid.  The loop ends: the Rng's outputs run through every
+        64-bit value once per period, so every slot is drawn within one
+        period; the expected number of draws is line_count / valid
+        lines.  A direct draw over the valid slots would consume the
+        stream differently and move every seeded output.
         """
-        if len(self._free) == self._n:
-            return None
         if self.deterministic_victim:
             for i, rec in enumerate(self._slots):
                 if rec is not None:
@@ -386,8 +412,7 @@ class FarrCache(_SlotCache):
         # so look at the free list only now
         free = self._free
         slot = free.pop() if free else self._reuse(self._random_valid_slot())
-        rec = CacheLineMeta(base, base >> self._offset_bits, 0, domain,
-                            spec_bit, 0, data)
+        rec = CacheLineMeta(base, domain, spec_bit, 0, data)
         self._fill(slot, key, rec)
         if op is _STORE:
             _store(rec, addr - base, value)
@@ -425,15 +450,15 @@ class NewsCache(_SlotCache):
                  rng: Rng, level: int = 1):
         super().__init__(geometry, hit_cycles, lower, rng, level)
         self._index_mask = (1 << geometry.index_bits) - 1
-        self._tag_shift = geometry.offset_bits + geometry.index_bits
         self._nofill = _MissOutcomes(_NOFILL, hit_cycles)
         self.tagmiss_forward_nofill = 0
 
     def _slot_of(self, addr: int, domain: int) -> int | None:
         """Slot holding addr's line for domain: mapping and tag match."""
-        slot = self._keys.get((domain, (addr >> self._offset_bits)
+        base = addr & self._line_mask
+        slot = self._keys.get((domain, (base >> self._offset_bits)
                               & self._index_mask))
-        if slot is None or self._slots[slot].tag != addr >> self._tag_shift:
+        if slot is None or self._slots[slot].base != base:
             return None
         return slot
 
@@ -443,20 +468,19 @@ class NewsCache(_SlotCache):
 
     def access(self, op: Op, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
-        index = (addr >> self._offset_bits) & self._index_mask
-        tag = addr >> self._tag_shift
-        key = (domain, index)       # the mapping entry
+        base = addr & self._line_mask
+        # the mapping entry
+        key = (domain, (base >> self._offset_bits) & self._index_mask)
         slot = self._keys.get(key)
         if slot is not None:
             rec = self._slots[slot]
-            if rec.tag == tag:
+            if rec.base == base:        # the tag match
                 if not spec_bit:
                     rec.spec_bit = 0
                 if op is _STORE:
-                    _store(rec, addr - rec.base, value)
+                    _store(rec, addr - base, value)
                 return self._hit
 
-        base = addr & self._line_mask
         data, source, below = self.lower.fetch(addr, domain, spec_bit)
         # the fetch may have recalled lines (an L2 eviction), so take a
         # fresh look at who owns the mapping entry now
@@ -468,19 +492,17 @@ class NewsCache(_SlotCache):
                 # forward the data but leave no trace of the requested
                 # line; evict one random valid line instead
                 self.tagmiss_forward_nofill += 1
-                vslot = self._random_valid_slot()
-                if vslot is not None:
-                    self._evict_slot(vslot)
+                self._evict_slot(self._random_valid_slot())
                 return self._nofill[below << 2 | source]
             # non-speculative conflict replaces the conflicting line in
-            # place; the mapping key stays, the tag changes
+            # place; the mapping key stays, the base changes
             self._reuse(slot)
         else:
             # mapping miss: fill over a random victim (invalid slots first)
             free = self._free
             slot = (free.pop() if free
                     else self._reuse(self._random_valid_slot()))
-        rec = CacheLineMeta(base, tag, index, domain, spec_bit, 0, data)
+        rec = CacheLineMeta(base, domain, spec_bit, 0, data)
         self._fill(slot, key, rec)
         if op is _STORE:
             _store(rec, addr - base, value)

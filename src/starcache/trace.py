@@ -29,7 +29,7 @@ longer one at the line that does not fit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import ADDRESS_LIMIT, DOMAIN_NONE, Rng, chance_threshold
 from .engine import SpecEngine, WindowFullError
@@ -181,7 +181,8 @@ def format_trace(events: list[TraceEvent]) -> str:
 class ReplayStats:
     """Counter snapshot after a replay.
 
-    l1_hits + l1_miss_l2 + l1_miss_mem always equals loads.
+    l1_hits + l1_miss_l2 + l1_miss_mem always equals loads.  Every
+    field but the last two is the hierarchy counter of the same name.
     """
     loads: int = 0
     stores: int = 0
@@ -194,16 +195,14 @@ class ReplayStats:
     loads_squashed: int = 0
     squashed_load_fraction: float = 0.0
 
-    FIELDS = ("loads", "stores", "l1_hits", "l1_miss_l2", "l1_miss_mem",
-              "sfill_inv_sent", "sfill_inv_dropped_case_i",
-              "tagmiss_forward_nofill", "loads_squashed",
-              "squashed_load_fraction")
-
     def check(self) -> None:
         assert self.l1_hits + self.l1_miss_l2 + self.l1_miss_mem == self.loads
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
+
+
+ReplayStats.FIELDS = tuple(f.name for f in fields(ReplayStats))
 
 
 def replay(events: list[TraceEvent], hier: Hierarchy,
@@ -255,19 +254,10 @@ def replay(events: list[TraceEvent], hier: Hierarchy,
         raise TraceParseError(0, message, event_no) from None
     engine.commit_all()
 
-    loads = hier.loads
+    loads, squashed = hier.loads, engine.loads_squashed
     stats = ReplayStats(
-        loads=loads,
-        stores=hier.stores,
-        l1_hits=hier.l1_hits,
-        l1_miss_l2=hier.l1_miss_l2,
-        l1_miss_mem=hier.l1_miss_mem,
-        sfill_inv_sent=hier.sfill_inv_sent,
-        sfill_inv_dropped_case_i=hier.sfill_inv_dropped_case_i,
-        tagmiss_forward_nofill=hier.tagmiss_forward_nofill,
-        loads_squashed=engine.loads_squashed,
-        squashed_load_fraction=(engine.loads_squashed / loads) if loads else 0.0,
-    )
+        *(getattr(hier, name) for name in ReplayStats.FIELDS[:-2]),
+        squashed, (squashed / loads) if loads else 0.0)
     stats.check()
     if hier.debug_checks:
         hier.check_invariants()

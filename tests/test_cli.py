@@ -95,6 +95,17 @@ def test_spectre_noise_sigma_jitters_the_matrix(tmp_path, kind):
     assert _files_digest(tmp_path / "noisy") == first
 
 
+def test_attack_rejects_seed_beyond_64_bits(tmp_path, capsys):
+    # the Rng keeps 64 bits, so 2**64 + 1 would rerun seed 1's experiment
+    out = tmp_path / "o"
+    rc = main(["attack", "fr-spectre", "--trials", "2",
+               "--seed", str((1 << 64) + 1), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starcache: error:") and "below 2**64" in err
+    assert not out.exists()
+
+
 def test_attack_rejects_unknown_model():
     with pytest.raises(SystemExit):
         main(["attack", "fr-aes", "--model", "plru"])

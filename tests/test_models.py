@@ -1,6 +1,6 @@
 import pytest
 
-from starcache.core import CacheGeometry, Rng
+from starcache.core import CacheGeometry, FlatMemory, Rng
 from starcache.models import (AccessKind, FarrCache, NewsCache, Op,
                               SetAssocLru, SFillAction)
 
@@ -126,6 +126,41 @@ def test_lru_on_evict_callback():
     c.access(Op.LOAD, 0x7000, 0, 0)
     c.access(Op.LOAD, 0x7000 + stride, 0, 0)
     assert seen == [0x7000]
+
+
+# -- the level protocol: an L2 over flat memory --
+
+def _l2_over_memory():
+    mem = FlatMemory(64, cycles=100)
+    return SetAssocLru(CacheGeometry(64, 8, 2), 12, mem, level=2), mem
+
+
+def test_lru_fetch_shares_the_resident_payload():
+    l2, mem = _l2_over_memory()
+    mem.write_line(0x1000, bytes(range(64)))
+    data, _, _ = l2.fetch(0x1000 + 5, 0, 0)
+    assert data is l2.find(0x1000).data is mem.read_line(0x1000)
+    again, _, _ = l2.fetch(0x1000, 0, 0)
+    assert again is data
+
+
+def test_lru_fetch_reports_source_and_cycles():
+    l2, _ = _l2_over_memory()
+    assert l2.fetch(0x2000, 1, 0)[1:] == (3, 112)    # own 12 + memory 100
+    assert l2.fetch(0x2000, 1, 0)[1:] == (2, 12)
+
+
+def test_lru_writeback_takes_fresh_bytes_dirty_and_architectural():
+    l2, _ = _l2_over_memory()
+    l2.fetch(0x3000, 0, 1)
+    rec = l2.find(0x3000)
+    assert rec.spec_bit == 1 and rec.dirty == 0
+    line = bytearray(range(64))
+    l2.writeback(0x3000, 0, line)
+    assert rec.data == line and rec.data.__class__ is bytes
+    line[0] = 0xFF                                   # no alias kept
+    assert rec.data[0] == 0
+    assert rec.dirty == 1 and rec.spec_bit == 0
 
 
 # -- fully associative random replacement --
@@ -258,7 +293,8 @@ def test_news_mapping_one_line_per_key():
     rng = Rng(40)
     for _ in range(300):
         c.access(Op.LOAD, 64 * rng.choose(4096), rng.choose(3), 0)
-        keys = [(rec.domain, rec.index) for rec in c.valid_lines()]
+        keys = [(rec.domain, (rec.base >> c.geom.offset_bits)
+                 & ((1 << c.geom.index_bits) - 1)) for rec in c.valid_lines()]
         assert len(keys) == len(set(keys))
         assert len(keys) <= 8
 
