@@ -48,6 +48,7 @@ SPECTRE_FR_TRIALS = 16
 SPECTRE_PP_TRIALS = 32
 
 KEY_BYTES = 16
+LINE_BYTES = 64                  # every layout below steps 64 bytes a line
 
 
 @dataclass(slots=True)
@@ -153,6 +154,26 @@ def _trials_seed(config: RunConfig, trials: int | None, seed: int | None,
             config.seed if seed is None else seed)
 
 
+def check_geometry(config: RunConfig, kind: str) -> None:
+    """Refuse a geometry the harness layouts do not fit.
+
+    Every harness places its table entries, probe blocks and prime lines
+    LINE_BYTES apart, and a prime-probe receiver reads one L1 set per
+    column it decodes: pp-aes the 64 sets its four packed tables cover,
+    pp-spectre one set per secret value on its two-way geometry."""
+    if config.line_size != LINE_BYTES:
+        raise ConfigError(f"{kind} lays out {LINE_BYTES}-byte lines; "
+                          f"line_size is {config.line_size}")
+    need = {"pp-aes": 4 * TABLE_LINES, "pp-spectre": PROBE_BLOCKS}.get(kind, 0)
+    if kind == "pp-spectre":
+        config = pp_experiment_config(config)
+    sets = config.l1_lines // config.l1_assoc
+    if sets < need:
+        raise ConfigError(f"{kind} needs at least {need} L1 sets; l1_lines "
+                          f"{config.l1_lines} at l1_assoc {config.l1_assoc} "
+                          f"gives {sets}")
+
+
 def _random_block(rng: Rng) -> bytes:
     return bytes(rng.choose(256) for _ in range(KEY_BYTES))
 
@@ -175,6 +196,7 @@ def run_flush_reload_aes(config: RunConfig, key: bytes,
     """Flush the monitored regions, let the victim do one first round,
     reload and time.  Victim and attacker sit in different domains and
     share the table addresses read-only."""
+    check_geometry(config, "fr-aes")
     trials, seed = _trials_seed(config, trials, seed, FR_AES_TRIALS)
     root = Rng(seed).fork("fr-aes")
     hier = config.build_hierarchy(root.fork("hier"))
@@ -183,8 +205,8 @@ def run_flush_reload_aes(config: RunConfig, key: bytes,
     sigma = config.noise_sigma
 
     tables = AesTables(AES_TABLE_BASE, FR_REGION_STRIDE)
-    region = [[tables.table_base(t) + 64 * b for b in range(FR_REGION_BLOCKS)]
-              for t in range(4)]
+    region = [[tables.table_base(t) + LINE_BYTES * b
+               for b in range(FR_REGION_BLOCKS)] for t in range(4)]
     matrices = [ObservationMatrix(256, FR_REGION_BLOCKS, "input_byte", "block")
                 for _ in range(KEY_BYTES)]
     vecs = [np.empty(FR_REGION_BLOCKS) for _ in range(4)]
@@ -235,7 +257,8 @@ def _pp_layout(config: RunConfig):
     by_set = config.model == "sa-lru"
     n_sets = config.l1_lines // config.l1_assoc
     cols = n_sets if by_set else config.l1_lines
-    prime_addrs = [SPECTRE_PRIME_BASE + 64 * i for i in range(config.l1_lines)]
+    prime_addrs = [SPECTRE_PRIME_BASE + LINE_BYTES * i
+                   for i in range(config.l1_lines)]
     probe = [(prime_addrs[i], i % n_sets if by_set else i)
              for i in range(len(prime_addrs) - 1, -1, -1)]
     return by_set, n_sets, cols, prime_addrs, probe
@@ -269,6 +292,7 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
     randomized models there are no attacker-visible sets, so each prime
     position is its own column and recovery folds them back onto the
     conventional layout hypothesis."""
+    check_geometry(config, "pp-aes")
     trials, seed = _trials_seed(config, trials, seed, PP_AES_TRIALS)
     root = Rng(seed).fork("pp-aes")
     hier = config.build_hierarchy(root.fork("hier"))
@@ -324,7 +348,7 @@ def _wrong_path(engine: SpecEngine, secret: int, domain: int,
     barrier = engine.issue_barrier()
     if enter:
         engine.issue_load(SPECTRE_SECRET_LINE, domain)
-        engine.issue_load(SPECTRE_PROBE_BASE + 64 * secret, domain)
+        engine.issue_load(SPECTRE_PROBE_BASE + LINE_BYTES * secret, domain)
     engine.squash_from(barrier.id)
 
 
@@ -340,7 +364,7 @@ def _spectre_fr_runs(config: RunConfig, secrets, trials: int, seed: int,
     engine = SpecEngine(hier, config.window_capacity,
                         config.clear_specbit_on_commit)
     sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
-    blocks = [SPECTRE_PROBE_BASE + 64 * s for s in range(PROBE_BLOCKS)]
+    blocks = [SPECTRE_PROBE_BASE + LINE_BYTES * s for s in range(PROBE_BLOCKS)]
     matrix = ObservationMatrix(256, PROBE_BLOCKS, "secret", "block")
     vec = np.empty(PROBE_BLOCKS)
     flush, load = hier.flush, hier.load
@@ -380,7 +404,8 @@ def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
         for addr in prime_addrs:
             hier_b.load(addr, ATTACKER_DOMAIN)
         hier_b.load(SPECTRE_ARRAY1_LINE, sender_dom)
-        hier_b.load(SPECTRE_PROBE_BASE + 64 * SPECTRE_INBOUNDS_VALUE, sender_dom)
+        hier_b.load(SPECTRE_PROBE_BASE + LINE_BYTES * SPECTRE_INBOUNDS_VALUE,
+                    sender_dom)
         _probe(hier_b.load, probe, vec, rnoise, sigma)
         base_sum += vec
     base_fold = _fold(base_sum / trials, n_sets)
@@ -427,6 +452,7 @@ def run_spectre(config: RunConfig, kind: str, secret: int,
     runs, default_trials = _spectre_receiver(kind)
     if not 0 <= secret <= 255:
         raise ConfigError(f"secret must be one byte (0..255), got {secret}")
+    check_geometry(config, kind)
     trials, seed = _trials_seed(config, trials, seed, default_trials)
     _, matrix, [(recovered, margin)] = runs(
         config, [secret], trials, seed, kind, same_domain, enter_wrong_path)
@@ -443,6 +469,7 @@ def run_spectre_sweep(config: RunConfig, kind: str,
     """run_spectre over every secret value on one shared hierarchy;
     pp-spectre measures its secret-independent baseline once."""
     runs, default_trials = _spectre_receiver(kind)
+    check_geometry(config, kind)
     trials, seed = _trials_seed(config, trials_per_secret, seed,
                                 default_trials)
     root, matrix, results = runs(config, range(256), trials, seed,

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import attacks, checks
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, read_utf8
 from .core import Rng
 from .engine import SpecEngine
 from .models import MODEL_NAMES
@@ -165,13 +165,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         source = {"synth": args.synth, "events": args.events,
                   "p_squash": args.p_squash}
     else:
-        try:
-            with open(args.trace, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{args.trace}: not UTF-8 text ({exc.reason} "
-                              f"at byte {exc.start})") from None
-        events = parse_trace(text)
+        events = parse_trace(read_utf8(args.trace))
         source = {"trace": os.path.basename(args.trace)}
 
     if args.sweep_k is not None:

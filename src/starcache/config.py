@@ -143,15 +143,25 @@ def _coerce(name: str, raw: str, where: str):
             f"{where}: {name} wants {base.__name__}, got {raw!r}") from None
 
 
+def read_utf8(path: str) -> str:
+    """The whole file as text; bytes that are not UTF-8 raise
+    ConfigError naming the first bad byte."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} "
+                              f"at byte {exc.start})") from None
+
+
 def parse_config_file(path: str) -> dict:
     """Flat `key = value` lines; '#' comments; unknown keys rejected."""
     values: dict = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        text = read_utf8(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -16,9 +16,12 @@ import numpy as np
 
 
 class ObservationMatrix:
-    """Mean-latency heatmap plus per-trial decision counts."""
+    """Mean-latency heatmap plus per-trial decision counts.
 
-    __slots__ = ("rows", "cols", "lat_sum", "lat_cnt", "dec_cnt",
+    A trial always fills a whole row, so the matrix keeps one trial
+    count per row (row_cnt); lat_cnt is its read-only per-cell view."""
+
+    __slots__ = ("rows", "cols", "lat_sum", "row_cnt", "dec_cnt",
                  "row_label", "col_label")
 
     def __init__(self, rows: int, cols: int,
@@ -30,7 +33,7 @@ class ObservationMatrix:
         self.row_label = row_label
         self.col_label = col_label
         self.lat_sum = np.zeros((rows, cols), dtype=np.float64)
-        self.lat_cnt = np.zeros((rows, cols), dtype=np.int64)
+        self.row_cnt = np.zeros(rows, dtype=np.int64)
         self.dec_cnt = np.zeros((rows, cols), dtype=np.int64)
 
     def record(self, row: int, latencies, decision: int | None = None) -> None:
@@ -38,10 +41,21 @@ class ObservationMatrix:
         vec = np.asarray(latencies, dtype=np.float64)
         if vec.shape != (self.cols,):
             raise ValueError(f"expected {self.cols} latencies, got {vec.shape}")
+        if not 0 <= row < self.rows:
+            raise ValueError(f"row must lie in 0..{self.rows - 1}, got {row}")
+        if decision is not None and not 0 <= decision < self.cols:
+            raise ValueError(
+                f"decision must lie in 0..{self.cols - 1}, got {decision}")
         self.lat_sum[row] += vec
-        self.lat_cnt[row] += 1
+        self.row_cnt[row] += 1
         if decision is not None:
             self.dec_cnt[row, decision] += 1
+
+    @property
+    def lat_cnt(self) -> np.ndarray:
+        """Trials per cell: row_cnt broadcast over the columns, read-only
+        and without a rows x cols copy."""
+        return np.broadcast_to(self.row_cnt[:, None], (self.rows, self.cols))
 
     @property
     def trials(self) -> int:
@@ -49,7 +63,8 @@ class ObservationMatrix:
 
     def mean_latency(self) -> np.ndarray:
         out = np.zeros_like(self.lat_sum)
-        np.divide(self.lat_sum, self.lat_cnt, out=out, where=self.lat_cnt > 0)
+        cnt = self.row_cnt[:, None]
+        np.divide(self.lat_sum, cnt, out=out, where=cnt > 0)
         return out
 
     def folded(self, cols: int) -> "ObservationMatrix":
@@ -58,24 +73,24 @@ class ObservationMatrix:
         This is how an attacker who assumes a conventional set layout
         reads a positional probe: position p is charged to set p % cols.
         """
-        if self.cols % cols:
+        if cols < 1 or self.cols % cols:
             raise ValueError(f"{self.cols} columns do not fold into {cols}")
         m = ObservationMatrix(self.rows, cols, self.row_label, self.col_label)
-        shape = (self.rows, self.cols // cols, cols)
-        m.lat_sum = self.lat_sum.reshape(shape).sum(axis=1)
-        m.lat_cnt = self.lat_cnt.reshape(shape).max(axis=1)
+        m.lat_sum = self.lat_sum.reshape(self.rows, -1, cols).sum(axis=1)
+        m.row_cnt = self.row_cnt.copy()
         m.dec_cnt = self.dec_cnt[:, :cols].copy()
         return m
 
     def write_csv(self, path: str, header_items=()) -> None:
-        """Long-form CSV: row,col,mean_latency,trials; zero-trial cells
-        are skipped."""
-        r, c = np.nonzero(self.lat_cnt)
-        mean = self.mean_latency()[r, c]
+        """Long-form CSV: row,col,mean_latency,trials; rows never
+        recorded are skipped."""
+        mean = self.mean_latency().tolist()
+        cnt = self.row_cnt.tolist()
         write_csv(path, header_items,
                   (self.row_label, self.col_label, "mean_latency", "trials"),
-                  zip(r.tolist(), c.tolist(), mean.tolist(),
-                      self.lat_cnt[r, c].tolist()))
+                  ((r, c, mean[r][c], cnt[r])
+                   for r in np.flatnonzero(self.row_cnt).tolist()
+                   for c in range(self.cols)))
 
 
 def write_csv(path: str, header_items, columns, rows) -> None:
@@ -186,7 +201,7 @@ def recover_nibble(m: ObservationMatrix, mode: str, table_lo: int,
     mean = m.mean_latency()
     votes = np.zeros(NIBBLE_VALUES, dtype=np.int64)
     for v in range(m.rows):
-        if not m.lat_cnt[v].any():
+        if not m.row_cnt[v]:
             continue
         window = mean[v, table_lo:table_lo + NIBBLE_VALUES]
         c = int(np.argmin(window) if mode == "dip" else np.argmax(window))

@@ -5,7 +5,7 @@ from starcache.attacks import (AesTables, aes_first_round_accesses,
                                pp_experiment_config, run_flush_reload_aes,
                                run_prime_probe_aes, run_spectre,
                                run_spectre_sweep)
-from starcache.config import RunConfig
+from starcache.config import ConfigError, RunConfig
 
 KEY_ZERO = bytes(16)
 KEY_MIXED = bytes(range(0x10, 0x10 + 16))
@@ -128,6 +128,17 @@ def test_pp_experiment_pins_two_way_l1():
     pinned = pp_experiment_config(cfg)
     assert pinned.l1_assoc == 2 and pinned.l1_lines == cfg.l1_lines
     assert pp_experiment_config(pinned) is pinned
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: run_flush_reload_aes(cfg, KEY_ZERO, trials=1),
+    lambda cfg: run_prime_probe_aes(cfg, KEY_ZERO, trials=1),
+    lambda cfg: run_spectre(cfg, "fr-spectre", 1, trials=1),
+    lambda cfg: run_spectre_sweep(cfg, "pp-spectre", trials_per_secret=1),
+], ids=["fr-aes", "pp-aes", "spectre", "spectre-sweep"])
+def test_every_harness_checks_the_line_size(run):
+    with pytest.raises(ConfigError, match="64-byte lines; line_size is 32"):
+        run(_cfg("sa-lru", line_size=32))
 
 
 def test_trials_default_comes_from_config():

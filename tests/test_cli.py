@@ -106,6 +106,35 @@ def test_attack_rejects_seed_beyond_64_bits(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,env,fragment", [
+    ("pp-aes", {"STARCACHE_L1_ASSOC": "16"}, "needs at least 64 L1 sets"),
+    ("pp-spectre", {"STARCACHE_L1_LINES": "256"},
+     "needs at least 256 L1 sets"),
+    ("fr-spectre", {"STARCACHE_LINE_SIZE": "128"}, "64-byte lines"),
+], ids=["pp-aes-sets", "pp-spectre-sets", "line-size"])
+def test_attack_rejects_geometry_the_harness_cannot_decode(
+        tmp_path, capsys, monkeypatch, kind, env, fragment):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "o"
+    assert main(["attack", kind, "--trials", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starcache: error:") and fragment in err
+    assert not out.exists()
+
+
+def test_attack_rejects_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+    out = tmp_path / "o"
+    assert main(["attack", "fr-spectre", "--trials", "1", "--config",
+                 str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starcache: error:")
+    assert f"{cfg}: not UTF-8 text (invalid start byte at byte 9)" in err
+    assert not out.exists()
+
+
 def test_attack_rejects_unknown_model():
     with pytest.raises(SystemExit):
         main(["attack", "fr-aes", "--model", "plru"])

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,10 +31,55 @@ def test_matrix_rejects_bad_shapes():
 
 
 def test_mean_latency_zero_cells_stay_zero():
-    m = ObservationMatrix(1, 2)
+    m = ObservationMatrix(2, 2)
     m.record(0, [4.0, 8.0])
-    m.lat_cnt[0, 1] = 0       # simulate an unprobed cell
-    assert m.mean_latency()[0, 1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = m.mean_latency()
+    assert mean[1].tolist() == [0.0, 0.0]     # row 1 never recorded
+    assert mean[0].tolist() == [4.0, 8.0]
+
+
+def test_lat_cnt_is_a_read_only_count_per_cell():
+    m = ObservationMatrix(3, 4)
+    expected = np.zeros((3, 4), dtype=np.int64)
+    for row in (2, 0, 2, 2):
+        m.record(row, [1.0] * 4, decision=row)
+        expected[row] += 1
+    assert m.lat_cnt.dtype == expected.dtype
+    assert np.array_equal(m.lat_cnt, expected)
+    assert m.lat_cnt.tobytes() == expected.tobytes()
+    assert not m.lat_cnt.flags.writeable
+    with pytest.raises(ValueError):
+        m.lat_cnt[0, 1] = 0
+
+
+def test_matrix_allocates_one_count_per_row():
+    tracemalloc.start()
+    try:
+        m = ObservationMatrix(256, 512)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # lat_sum and dec_cnt are 1 MiB each; a dense count array adds a third
+    assert allocated < 2.1 * (1 << 20)
+    assert m.row_cnt.shape == (256,)
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda m: m.record(-1, [0.0] * 4), "got -1"),
+    (lambda m: m.record(3, [0.0] * 4), "got 3"),
+    (lambda m: m.record(0, [0.0] * 4, decision=-1), "got -1"),
+    (lambda m: m.record(0, [0.0] * 4, decision=4), "got 4"),
+    (lambda m: m.folded(0), "into 0"),
+    (lambda m: m.folded(-2), "into -2"),
+], ids=["row-negative", "row-past-end", "decision-negative",
+        "decision-past-end", "fold-zero", "fold-negative"])
+def test_matrix_rejects_out_of_range_input(call, fragment):
+    m = ObservationMatrix(3, 4)
+    with pytest.raises(ValueError, match=fragment):
+        call(m)
+    assert not m.lat_sum.any() and not m.row_cnt.any() and m.trials == 0
 
 
 def test_folding_groups_positions_mod_cols():
@@ -44,6 +91,18 @@ def test_folding_groups_positions_mod_cols():
     assert f.dec_cnt[0, 1] == 1
     with pytest.raises(ValueError):
         m.folded(3)
+
+
+def test_folding_keeps_the_row_counts():
+    m = ObservationMatrix(3, 8)
+    for row in (0, 2, 2):
+        m.record(row, [1.0] * 8)
+    f = m.folded(4)
+    assert f.row_cnt.tolist() == [1, 0, 2]
+    assert np.array_equal(f.lat_cnt, np.repeat([[1], [0], [2]], 4, axis=1))
+    assert np.allclose(f.mean_latency()[2], [2.0] * 4)
+    f.row_cnt[0] += 1                     # a copy, not a shared view
+    assert m.row_cnt[0] == 1
 
 
 def test_csv_layout(tmp_path):
