@@ -160,10 +160,15 @@ def check_geometry(config: RunConfig, kind: str) -> None:
     Every harness places its table entries, probe blocks and prime lines
     LINE_BYTES apart, and a prime-probe receiver reads one L1 set per
     column it decodes: pp-aes the 64 sets its four packed tables cover,
-    pp-spectre one set per secret value on its two-way geometry."""
+    pp-spectre one set per secret value on its two-way geometry.  A
+    Spectre wrong path holds a barrier and two loads in one window."""
     if config.line_size != LINE_BYTES:
         raise ConfigError(f"{kind} lays out {LINE_BYTES}-byte lines; "
                           f"line_size is {config.line_size}")
+    if kind in SPECTRE and config.window_capacity < 3:
+        raise ConfigError(f"{kind} issues a barrier and two loads per "
+                          f"window; window_capacity is "
+                          f"{config.window_capacity}, needs at least 3")
     need = {"pp-aes": 4 * TABLE_LINES, "pp-spectre": PROBE_BLOCKS}.get(kind, 0)
     if kind == "pp-spectre":
         config = pp_experiment_config(config)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .core import CacheGeometry, Rng
+from .core import CacheGeometry, FlatMemory, Rng
 from .engine import SpecEngine
 from .models import (AccessKind, FarrCache, NewsCache, Op, SetAssocLru,
                      SFillAction)
@@ -60,7 +60,7 @@ def farr_victim_histogram(events: int, seed: int,
     for j in range(events):
         addr = base + 64 * (lines + j)
         hier.load(addr, 0)
-        hist[hier.l1._keys[(addr, 0)]] += 1
+        hist[hier.l1._slot_of(addr, 0)] += 1
     return hist
 
 
@@ -74,13 +74,11 @@ def news_victim_histogram(events: int, seed: int) -> np.ndarray:
     for i in range(lines):
         hier.load(base + 64 * i, 2)
     hist = np.zeros(lines, dtype=np.int64)
-    index_mask = (1 << cfg.l1_geometry().index_bits) - 1
     for j in range(events):
         domain = 3 + (j // lines) % 200
         addr = base + 64 * (j % lines)
         hier.load(addr, domain)
-        index = (addr >> 6) & index_mask
-        hist[hier.l1._keys[(domain, index)]] += 1
+        hist[hier.l1._slot_of(addr, domain)] += 1
     return hist
 
 
@@ -177,27 +175,15 @@ def check_spec_conflict_no_trace(quick: bool,
 
 # -- squash invalidation case table --
 
-class _StubLower:
-    """Memory stand-in for standalone cache instances."""
-
-    def __init__(self):
-        self.writebacks = []
-
-    def fetch(self, addr, domain, spec_bit):
-        return bytes(64), 3, 100
-
-    def writeback(self, base, domain, data):
-        self.writebacks.append(base)
-
-
 def _standalone_cache(kind: str, level: int):
     geom = CacheGeometry(64, 64, 4, 2 if kind == "star-news" else 0)
     rng = Rng(105).fork(f"case-table-{kind}-{level}")
+    memory = FlatMemory(64)
     if kind == "star-farr":
-        return FarrCache(geom, 1, _StubLower(), rng, level=level)
+        return FarrCache(geom, 1, memory, rng, level=level)
     if kind == "star-news":
-        return NewsCache(geom, 1, _StubLower(), rng, level=level)
-    return SetAssocLru(geom, 1, _StubLower(), secure_inval=True, level=level)
+        return NewsCache(geom, 1, memory, rng, level=level)
+    return SetAssocLru(geom, 1, memory, secure_inval=True, level=level)
 
 
 SFILL_STATES = ("found-nonspec", "found-spec", "absent")
@@ -245,7 +231,8 @@ def sfill_case_rows() -> list[dict]:
     # the conventional cache ignores the message entirely
     for state in ("found-nonspec", "found-spec"):
         geom = CacheGeometry(64, 64, 4)
-        cache = SetAssocLru(geom, 1, _StubLower(), secure_inval=False, level=1)
+        cache = SetAssocLru(geom, 1, FlatMemory(64), secure_inval=False,
+                            level=1)
         cache.access(Op.LOAD, addr, 0, 1 if state == "found-spec" else 0)
         action = cache.handle_sfill_inv(addr, 0, 3)
         rows.append({

@@ -216,24 +216,18 @@ class Hierarchy:
                 f"base index lost L1 line 0x{base:x}"
             assert self.l1.lines_at(base) == recs, \
                 f"base index disagrees with the L1 lines at 0x{base:x}"
-        if not isinstance(self.l1, SetAssocLru):
-            assert self.l1._at.keys() == by_base.keys(), \
-                "base index holds a line base no L1 line has"
-            for key, slot in self.l1._keys.items():
-                assert self.l1._slot_keys[slot] == key, \
-                    "slot key disagrees with the key map"
         for rec in self.l2.valid_lines():
             assert not (rec.spec_bit and rec.dirty), \
                 f"speculative L2 line 0x{rec.base:x} is dirty"
         if isinstance(self.l1, NewsCache):
             l1 = self.l1
-            seen = set()
-            for (dom, idx), slot in l1._keys.items():
+            assert l1._at.keys() == by_base.keys(), \
+                "base index holds a line base no L1 line has"
+            # each entry names its own line's key, so distinct entries
+            # point at distinct slots
+            for (dom, field), slot in l1._keys.items():
                 rec = l1._slots[slot]
                 assert (rec is not None and rec.domain == dom and
-                        (rec.base >> l1._offset_bits) & l1._index_mask == idx), \
+                        rec.base & l1._key_mask == field), \
                     "mapping entry points at the wrong line"
-                assert slot not in seen
-                seen.add(slot)
-            valid = sum(1 for r in l1._slots if r is not None)
-            assert len(l1._keys) == valid, "mapping entry per valid line"
+            assert len(l1._keys) == len(l1_lines), "mapping entry per valid line"

@@ -6,7 +6,9 @@ sa-lru      conventional set-associative cache with LRU replacement; no
 star-farr   fully associative array with uniform random replacement.  A
             hit requires both the tag and the requesting domain to
             match, so one domain can never hit (or flush) another
-            domain's lines.
+            domain's lines.  It is star-news with a mapping over the
+            whole line address: every line has its own mapping entry,
+            so a mapping hit is always a tag match.
 star-news   randomized-mapping cache.  Each line is found through a
             per-line mapping entry (domain, index) where the index field
             is log2(line_count) + k bits of the address.  A mapping hit
@@ -38,13 +40,13 @@ down.  The set-associative cache answers both as an L2 does, and the
 flat memory in core answers them as the bottom level.
 
 A line is known by its base (the address with its offset bits
-cleared).  NEWS finds a line through its (domain, index) mapping entry;
-once the index matches, its tag matches exactly when the base does, so
-the tag match is a base match.
+cleared).  The random-slot designs find a line through its (domain,
+index) mapping entry; once the index matches, its tag matches exactly
+when the base does, so the tag match is a base match.
 
 Every model also answers "which lines hold this base?" without
 scanning (lines_at, contains_addr): the set-associative cache through
-its per-set dict, the two random-slot designs through a base index
+its per-set dict, the random-slot designs through a base index
 from line base to the slots holding a copy, one copy per domain at
 most.  The hierarchy uses it to recall L1 copies when L2 evicts.
 """
@@ -267,21 +269,32 @@ class SetAssocLru:
         return _PROPAGATE if source_level > self.level else _DROP
 
 
-class _SlotCache:
-    """Slot array, free list, key map and base index shared by the two
-    random-slot designs.
+class NewsCache:
+    """Randomized-mapping cache with random replacement.
 
-    Lookups go through self._keys, which maps the subclass's lookup key
-    to a slot; the key a slot was filled under is kept beside it, so a
-    release drops it without rebuilding it.  The base index self._at
-    maps a line base to the slots holding a copy of it, in the order
-    they were filled; lines_at sorts them, because back-invalidation
-    must free slots in ascending order to keep later fills where they
-    always landed.
+    Lookup walks a mapping array keyed by (domain, index), where the
+    index is the field of the line base that key_mask selects: by
+    default log2(line_count) + k address bits.  At most one valid line
+    holds a given key.  A speculative load that reaches a mapping hit
+    with the wrong tag gets its data forwarded without filling, and a
+    uniformly random valid line (the conflicting one included) is
+    evicted.  The same conflict under a non-speculative access replaces
+    the conflicting line in place.  A mapping miss fills an invalid slot
+    if there is one, and otherwise replaces a uniformly random line.
+
+    Each mapping entry is rebuilt from the line it points at, so a
+    release drops it without keeping it beside the slot.  The base
+    index self._at maps a line base to the slots holding a copy of it,
+    in the order they were filled; lines_at sorts them, because
+    back-invalidation must free slots in ascending order to keep later
+    fills where they always landed.
     """
 
-    # fault-injection hook for the self test: chooses slot 0 forever
+    # fault-injection hooks for the self test: choose slot 0 forever;
+    # treat the speculative conflict like the non-speculative one (fill
+    # anyway)
     deterministic_victim = False
+    fill_on_spec_tagmiss = False
 
     def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
                  rng: Rng, level: int = 1):
@@ -291,16 +304,18 @@ class _SlotCache:
         self.level = level
         n = geometry.line_count
         self._n = n
-        self._offset_bits = geometry.offset_bits
         self._line_mask = ~(geometry.line_size - 1)
+        # the index field, left in place in the line base
+        self._key_mask = ((1 << geometry.index_bits) - 1) << geometry.offset_bits
         self._slots: list[CacheLineMeta | None] = [None] * n
-        self._slot_keys: list[tuple[int, int] | None] = [None] * n
         self._free = list(range(n - 1, -1, -1))
-        self._keys: dict[tuple[int, int], int] = {}   # lookup key -> slot
+        self._keys: dict[tuple[int, int], int] = {}   # mapping entry -> slot
         self._at: dict[int, list[int]] = {}           # base -> slots
         self._hit = AccessOutcome(_HIT, hit_cycles, 1)
         self._filled = _MissOutcomes(_FILLED, hit_cycles)
+        self._nofill = _MissOutcomes(_NOFILL, hit_cycles)
         self.inval_dropped_case_i = 0
+        self.tagmiss_forward_nofill = 0
 
     def contains_addr(self, base: int) -> bool:
         return base in self._at
@@ -315,23 +330,24 @@ class _SlotCache:
     def valid_lines(self):
         return (rec for rec in self._slots if rec is not None)
 
-    def _fill(self, slot: int, key: tuple[int, int],
-              rec: CacheLineMeta) -> None:
-        self._slots[slot] = rec
-        self._slot_keys[slot] = key
-        self._keys[key] = slot
-        at = self._at.get(rec.base)
-        if at is None:
-            self._at[rec.base] = [slot]
-        else:
-            at.append(slot)
+    def _slot_of(self, addr: int, domain: int) -> int | None:
+        """Slot holding addr's line for domain: mapping and tag match."""
+        base = addr & self._line_mask
+        slot = self._keys.get((domain, base & self._key_mask))
+        if slot is None or self._slots[slot].base != base:
+            return None
+        return slot
+
+    def find(self, addr: int, domain: int) -> CacheLineMeta | None:
+        slot = self._slot_of(addr, domain)
+        return None if slot is None else self._slots[slot]
 
     def _release(self, slot: int) -> CacheLineMeta:
         """Empty slot, drop its line from both maps and free the slot;
         the caller owns any write-back of the returned record."""
         rec = self._slots[slot]
         self._slots[slot] = None
-        del self._keys[self._slot_keys[slot]]
+        del self._keys[(rec.domain, rec.base & self._key_mask)]
         at = self._at[rec.base]
         if len(at) == 1:
             del self._at[rec.base]
@@ -341,16 +357,17 @@ class _SlotCache:
         return rec
 
     def _evict_slot(self, slot: int) -> None:
-        rec = self._slots[slot]
+        """Release slot, writing a dirty line back; the slot goes to the
+        end of the free list, so the next fill takes it."""
+        rec = self._release(slot)
         if rec.dirty:
             self.lower.writeback(rec.base, rec.domain, rec.data)
-        self._release(slot)
 
     def _random_valid_slot(self) -> int:
         """A uniformly random valid slot.
 
         Callers draw only when one slot at least is valid: on an empty
-        free list, or on a NEWS mapping hit.  Draws slots until one is
+        free list, or on a mapping hit.  Draws slots until one is
         valid.  The loop ends: the Rng's outputs run through every
         64-bit value once per period, so every slot is drawn within one
         period; the expected number of draws is line_count / valid
@@ -366,111 +383,10 @@ class _SlotCache:
             if self._slots[slot] is not None:
                 return slot
 
-    def _reuse(self, slot: int) -> int:
-        """Evict the line in slot and take the slot back for the
-        caller's new line."""
-        self._evict_slot(slot)
-        self._free.pop()
-        return slot
-
-    def _drop_spec_line(self, slot: int | None,
-                        source_level: int) -> SFillAction:
-        """Squash invalidation for the line in slot (None: not here)."""
-        if slot is not None:
-            rec = self._slots[slot]
-            if not rec.spec_bit:
-                self.inval_dropped_case_i += 1
-                return _DROP
-            assert not rec.dirty, "speculative line must be clean"
-            self._release(slot)
-        return _PROPAGATE if source_level > self.level else _DROP
-
-
-class FarrCache(_SlotCache):
-    """Fully associative cache, uniform random replacement, domain-checked
-    hits.  The lookup key is (line base, domain): one copy per domain."""
-
-    def find(self, addr: int, domain: int) -> CacheLineMeta | None:
-        slot = self._keys.get((addr & self._line_mask, domain))
-        return None if slot is None else self._slots[slot]
-
     def access(self, op: Op, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
         base = addr & self._line_mask
-        key = (base, domain)
-        slot = self._keys.get(key)
-        if slot is not None:
-            rec = self._slots[slot]
-            if not spec_bit:
-                rec.spec_bit = 0
-            if op is _STORE:
-                _store(rec, addr - base, value)
-            return self._hit
-
-        data, source, below = self.lower.fetch(addr, domain, spec_bit)
-        # the fetch may have freed slots (an L2 eviction recalls lines),
-        # so look at the free list only now
-        free = self._free
-        slot = free.pop() if free else self._reuse(self._random_valid_slot())
-        rec = CacheLineMeta(base, domain, spec_bit, 0, data)
-        self._fill(slot, key, rec)
-        if op is _STORE:
-            _store(rec, addr - base, value)
-        return self._filled[below << 2 | source]
-
-    def flush_line(self, addr: int, domain: int,
-                   own_domain_only: bool = True) -> CacheLineMeta | None:
-        # domain-checked design: a flush can only ever see its own lines
-        slot = self._keys.get((addr & self._line_mask, domain))
-        return None if slot is None else self._release(slot)
-
-    def handle_sfill_inv(self, addr: int, domain: int,
-                         source_level: int) -> SFillAction:
-        return self._drop_spec_line(
-            self._keys.get((addr & self._line_mask, domain)), source_level)
-
-
-class NewsCache(_SlotCache):
-    """Randomized-mapping cache.
-
-    Lookup walks a mapping array keyed by (domain, index) where the
-    index takes k extra address bits beyond log2(line_count); at most
-    one valid line holds a given key.  A speculative load that reaches a
-    mapping hit with the wrong tag gets its data forwarded without
-    filling, and a uniformly random valid line (the conflicting one
-    included) is evicted.  The same conflict under a non-speculative
-    access replaces the conflicting line in place.
-    """
-
-    # fault-injection hook for the self test: treat the speculative
-    # conflict like the non-speculative one (fill anyway)
-    fill_on_spec_tagmiss = False
-
-    def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
-                 rng: Rng, level: int = 1):
-        super().__init__(geometry, hit_cycles, lower, rng, level)
-        self._index_mask = (1 << geometry.index_bits) - 1
-        self._nofill = _MissOutcomes(_NOFILL, hit_cycles)
-        self.tagmiss_forward_nofill = 0
-
-    def _slot_of(self, addr: int, domain: int) -> int | None:
-        """Slot holding addr's line for domain: mapping and tag match."""
-        base = addr & self._line_mask
-        slot = self._keys.get((domain, (base >> self._offset_bits)
-                              & self._index_mask))
-        if slot is None or self._slots[slot].base != base:
-            return None
-        return slot
-
-    def find(self, addr: int, domain: int) -> CacheLineMeta | None:
-        slot = self._slot_of(addr, domain)
-        return None if slot is None else self._slots[slot]
-
-    def access(self, op: Op, addr: int, domain: int, spec_bit: int,
-               value: int | None = None) -> AccessOutcome:
-        base = addr & self._line_mask
-        # the mapping entry
-        key = (domain, (base >> self._offset_bits) & self._index_mask)
+        key = (domain, base & self._key_mask)   # the mapping entry
         slot = self._keys.get(key)
         if slot is not None:
             rec = self._slots[slot]
@@ -483,9 +399,9 @@ class NewsCache(_SlotCache):
 
         data, source, below = self.lower.fetch(addr, domain, spec_bit)
         # the fetch may have recalled lines (an L2 eviction), so take a
-        # fresh look at who owns the mapping entry now
+        # fresh look at who owns the mapping entry and which slots are
+        # free now
         slot = self._keys.get(key)
-
         if slot is not None:
             # mapping hit, tag miss: a same-domain line owns this index
             if spec_bit and not self.fill_on_spec_tagmiss:
@@ -496,26 +412,52 @@ class NewsCache(_SlotCache):
                 return self._nofill[below << 2 | source]
             # non-speculative conflict replaces the conflicting line in
             # place; the mapping key stays, the base changes
-            self._reuse(slot)
+            self._evict_slot(slot)
+        elif not self._free:
+            # mapping miss with no invalid slot: a random victim
+            self._evict_slot(self._random_valid_slot())
+        slot = self._free.pop()
+        rec = self._slots[slot] = CacheLineMeta(base, domain, spec_bit, 0, data)
+        self._keys[key] = slot
+        at = self._at.get(base)
+        if at is None:
+            self._at[base] = [slot]
         else:
-            # mapping miss: fill over a random victim (invalid slots first)
-            free = self._free
-            slot = (free.pop() if free
-                    else self._reuse(self._random_valid_slot()))
-        rec = CacheLineMeta(base, domain, spec_bit, 0, data)
-        self._fill(slot, key, rec)
+            at.append(slot)
         if op is _STORE:
             _store(rec, addr - base, value)
         return self._filled[below << 2 | source]
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool = True) -> CacheLineMeta | None:
+        # domain-checked design: a flush can only ever see its own lines
         slot = self._slot_of(addr, domain)
         return None if slot is None else self._release(slot)
 
     def handle_sfill_inv(self, addr: int, domain: int,
                          source_level: int) -> SFillAction:
-        return self._drop_spec_line(self._slot_of(addr, domain), source_level)
+        slot = self._slot_of(addr, domain)
+        if slot is not None:
+            rec = self._slots[slot]
+            if not rec.spec_bit:
+                self.inval_dropped_case_i += 1
+                return _DROP
+            assert not rec.dirty, "speculative line must be clean"
+            self._release(slot)
+        # fell through: either invalidated or not resident here
+        return _PROPAGATE if source_level > self.level else _DROP
+
+
+class FarrCache(NewsCache):
+    """Fully associative cache, uniform random replacement, domain-checked
+    hits: NEWS whose mapping index is the whole line address.  The key
+    is then (domain, line base), one copy per domain, and a mapping hit
+    is always a tag match, so the conflict paths never run."""
+
+    def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
+                 rng: Rng, level: int = 1):
+        super().__init__(geometry, hit_cycles, lower, rng, level)
+        self._key_mask = self._line_mask
 
 
 MODEL_NAMES = ("sa-lru", "star-farr", "star-news")

@@ -31,7 +31,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields
 
-from .core import ADDRESS_LIMIT, DOMAIN_NONE, Rng, chance_threshold
+from .core import (ADDRESS_BITS, ADDRESS_LIMIT, DOMAIN_NONE, Rng,
+                   chance_threshold)
 from .engine import SpecEngine, WindowFullError
 from .hierarchy import Hierarchy
 
@@ -297,6 +298,10 @@ def synth_trace(profile: str, events: int, seed: int,
     if footprint_lines < 1:
         raise ValueError(
             f"footprint_lines must be at least 1, got {footprint_lines}")
+    if _SYNTH_BASE + 64 * (footprint_lines - 1) >= ADDRESS_LIMIT:
+        raise ValueError(
+            f"footprint_lines {footprint_lines} reaches past the "
+            f"{ADDRESS_BITS}-bit address space")
     # domain ids run 0..domains-1 and must stay below the reserved id
     if not 1 <= domains <= DOMAIN_NONE:
         raise ValueError(f"domains must be 1..{DOMAIN_NONE}, got {domains}")

@@ -89,6 +89,16 @@ def test_spectre_fr_blind_on_hardened_models():
         assert run.summary()["recovered"] == "NONE"
 
 
+def test_spectre_runs_on_the_smallest_window():
+    # a barrier and two loads: three entries are enough
+    run = run_spectre(_cfg("sa-lru", window_capacity=3), "fr-spectre",
+                      secret=30, trials=4)
+    assert run.recovered == 30
+    with pytest.raises(ConfigError, match="window_capacity"):
+        run_spectre(_cfg("sa-lru", window_capacity=2), "fr-spectre",
+                    secret=30, trials=4)
+
+
 def test_spectre_rejects_wide_secret():
     with pytest.raises(ValueError):
         run_spectre(_cfg("sa-lru"), "fr-spectre", secret=256, trials=1)

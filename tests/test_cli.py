@@ -123,6 +123,21 @@ def test_attack_rejects_geometry_the_harness_cannot_decode(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["attack", "fr-spectre", "--trials", "1"],
+    ["attack", "pp-spectre", "--trials", "1"],
+    ["sweep", "pp-spectre", "--trials", "1"],
+], ids=["fr-spectre", "pp-spectre", "sweep-pp-spectre"])
+def test_spectre_rejects_a_window_too_small_for_its_wrong_path(
+        tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("STARCACHE_WINDOW_CAPACITY", "2")
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starcache: error:") and "window_capacity" in err
+    assert not out.exists()
+
+
 def test_attack_rejects_non_utf8_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
@@ -287,6 +302,8 @@ def test_sweep_command_smoke(tmp_path, capsys):
     ("uniform-random", "--footprint", "0", "footprint_lines"),
     ("uniform-random", "--store-fraction", "1.5", "store_fraction"),
     ("uniform-random", "--domains", "300", "domains"),
+    ("uniform-random", "--footprint", "100000000000000", "footprint_lines"),
+    ("spec-mix", "--footprint", "100000000000000", "footprint_lines"),
 ])
 def test_replay_synth_rejects_out_of_range_input(tmp_path, capsys, profile,
                                                  flag, value, what):

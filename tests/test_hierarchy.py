@@ -263,8 +263,9 @@ def test_invariant_check_catches_a_stale_base_index(model):
         h.check_invariants()
     h.l1._at[0x8000].pop()
     h.check_invariants()
-    h.l1._slot_keys[h.l1._at[0x8000][0]] = (0x9000, 0)
-    with pytest.raises(AssertionError, match="slot key"):
+    (dom, field), slot = h.l1._keys.popitem()
+    h.l1._keys[(dom + 1, field)] = slot     # the entry names another domain
+    with pytest.raises(AssertionError, match="mapping entry"):
         h.check_invariants()
 
 

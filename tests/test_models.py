@@ -228,6 +228,19 @@ def test_farr_flush_is_domain_keyed():
     assert c.find(0x4000, 1) is None
 
 
+def test_farr_maps_the_whole_line_address():
+    # same domain, same geometry index field, different lines: FARR has
+    # no index field narrower than the line, so both lines stay
+    c = _farr(lines=8)
+    a = 0x1000
+    b = a ^ (1 << (c.geom.offset_bits + c.geom.index_bits))
+    c.access(Op.LOAD, a, 0, 0)
+    out = c.access(Op.LOAD, b, 0, 1)
+    assert out.kind is AccessKind.MISS_FILLED
+    assert c.find(a, 0) is not None and c.find(b, 0) is not None
+    assert c.tagmiss_forward_nofill == 0
+
+
 # -- randomized mapping --
 
 def test_news_basic_hit_miss():

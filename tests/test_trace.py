@@ -3,9 +3,10 @@ import hashlib
 import pytest
 
 from starcache.config import RunConfig
-from starcache.core import Rng
-from starcache.trace import (EventKind, PROFILES, TraceEvent, TraceParseError,
-                             format_trace, parse_trace, replay, synth_trace)
+from starcache.core import ADDRESS_LIMIT, Rng
+from starcache.trace import (_SYNTH_BASE, EventKind, PROFILES, TraceEvent,
+                             TraceParseError, format_trace, parse_trace,
+                             replay, synth_trace)
 
 
 def _hier(model="sa-lru", **kw):
@@ -155,6 +156,17 @@ def test_synth_rejects_bad_input():
                                          domains=255)
            if e.kind is EventKind.LOAD}
     assert max(ids) == 254          # below the reserved DOMAIN_NONE
+
+
+def test_synth_footprint_stays_inside_the_address_space():
+    # the last footprint line must lie below ADDRESS_LIMIT
+    widest = (ADDRESS_LIMIT - 1 - _SYNTH_BASE) // 64 + 1
+    for profile in ("uniform-random", "spec-mix"):
+        events = synth_trace(profile, 200, 1, footprint_lines=widest)
+        assert all(e.addr < ADDRESS_LIMIT for e in events
+                   if e.addr is not None)
+        with pytest.raises(ValueError, match="address space"):
+            synth_trace(profile, 200, 1, footprint_lines=widest + 1)
 
 
 def test_synth_deterministic_per_seed():
