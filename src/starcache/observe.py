@@ -6,11 +6,19 @@ prime position) together with a per-trial decision histogram.  The
 leakage score is the plug-in mutual information of that decision
 histogram; its significance is judged against a label-shuffling noise
 floor computed from the same trials.
+
+A trial adds one decision, so a run of T trials fills at most T of the
+histogram's rows x cols cells.  The matrix therefore logs each decision
+as one int64 code and only builds the dense histogram once the log
+holds rows * cols // 2 codes: decision storage never exceeds 1.5 times
+the dense histogram, and a matrix with fewer decisions holds none.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -19,10 +27,16 @@ class ObservationMatrix:
     """Mean-latency heatmap plus per-trial decision counts.
 
     A trial always fills a whole row, so the matrix keeps one trial
-    count per row (row_cnt); lat_cnt is its read-only per-cell view."""
+    count per row (row_cnt); lat_cnt is its read-only per-cell view.
 
-    __slots__ = ("rows", "cols", "lat_sum", "row_cnt", "dec_cnt",
-                 "row_label", "col_label")
+    Decisions go to a log of codes row * cols + decision.  The log's
+    buffer grows by doubling up to rows * cols // 2 codes; when a full
+    log meets one more decision it is folded into a dense int64
+    histogram and refilled from the start.  dec_cnt adds the two up
+    into a fresh (rows, cols) array on each read."""
+
+    __slots__ = ("rows", "cols", "lat_sum", "row_cnt", "row_label",
+                 "col_label", "_log", "_logged", "_limit", "_dense", "_dense_n")
 
     def __init__(self, rows: int, cols: int,
                  row_label: str = "value", col_label: str = "position"):
@@ -34,7 +48,11 @@ class ObservationMatrix:
         self.col_label = col_label
         self.lat_sum = np.zeros((rows, cols), dtype=np.float64)
         self.row_cnt = np.zeros(rows, dtype=np.int64)
-        self.dec_cnt = np.zeros((rows, cols), dtype=np.int64)
+        self._log = array("q")      # codes; only the first _logged are live
+        self._logged = 0
+        self._limit = max(rows * cols // 2, 1)
+        self._dense = None          # flat int64 histogram of folded codes
+        self._dense_n = 0           # decisions folded into _dense
 
     def record(self, row: int, latencies, decision: int | None = None) -> None:
         """Fold one trial's measurement vector into the given row."""
@@ -49,7 +67,40 @@ class ObservationMatrix:
         self.lat_sum[row] += vec
         self.row_cnt[row] += 1
         if decision is not None:
-            self.dec_cnt[row, decision] += 1
+            n = self._logged
+            if n == len(self._log):
+                n = self._make_room()
+            self._log[n] = index(row) * self.cols + index(decision)
+            self._logged = n + 1
+
+    def _make_room(self) -> int:
+        """Grow the full log, or fold it once it holds rows * cols // 2
+        codes; return the slot the next code goes to."""
+        n = self._logged
+        if n < self._limit:
+            grown = array("q", [0]) * min(max(2 * n, 64), self._limit)
+            grown[:n] = self._log
+            self._log = grown
+            return n
+        if self._dense is None:
+            self._dense = np.zeros(self.rows * self.cols, dtype=np.int64)
+        # add.at counts in place, where bincount would need a second
+        # rows x cols array
+        np.add.at(self._dense, self._codes(), 1)
+        self._dense_n += n
+        return 0
+
+    def _codes(self) -> np.ndarray:
+        """The live log codes as an int64 view."""
+        return np.frombuffer(self._log, dtype=np.int64)[:self._logged]
+
+    @property
+    def dec_cnt(self) -> np.ndarray:
+        """Decisions per cell, as a fresh C-contiguous int64 array."""
+        counts = np.bincount(self._codes(), minlength=self.rows * self.cols)
+        if self._dense is not None:
+            counts += self._dense
+        return counts.astype(np.int64, copy=False).reshape(self.rows, self.cols)
 
     @property
     def lat_cnt(self) -> np.ndarray:
@@ -59,7 +110,8 @@ class ObservationMatrix:
 
     @property
     def trials(self) -> int:
-        return int(self.dec_cnt.sum())
+        """Decisions recorded."""
+        return self._dense_n + self._logged
 
     def mean_latency(self) -> np.ndarray:
         out = np.zeros_like(self.lat_sum)
@@ -68,7 +120,8 @@ class ObservationMatrix:
         return out
 
     def folded(self, cols: int) -> "ObservationMatrix":
-        """Group columns by position modulo `cols` (summing latencies).
+        """Group columns by position modulo `cols` (summing latencies
+        and decision counts).
 
         This is how an attacker who assumes a conventional set layout
         reads a positional probe: position p is charged to set p % cols.
@@ -78,7 +131,17 @@ class ObservationMatrix:
         m = ObservationMatrix(self.rows, cols, self.row_label, self.col_label)
         m.lat_sum = self.lat_sum.reshape(self.rows, -1, cols).sum(axis=1)
         m.row_cnt = self.row_cnt.copy()
-        m.dec_cnt = self.dec_cnt[:, :cols].copy()
+        row, col = np.divmod(self._codes(), self.cols)
+        codes = row * cols + col % cols
+        if self._dense is None and len(codes) <= m._limit:
+            m._log = array("q", codes.tobytes())
+            m._logged = len(codes)
+        else:
+            m._dense = np.bincount(codes, minlength=self.rows * cols)
+            if self._dense is not None:
+                m._dense += self._dense.reshape(self.rows, -1, cols).sum(
+                    axis=1).ravel()
+            m._dense_n = self.trials
         return m
 
     def write_csv(self, path: str, header_items=()) -> None:

@@ -271,6 +271,10 @@ PROFILES = ("uniform-random", "pointer-chase", "conflict-heavy", "spec-mix")
 
 _SYNTH_BASE = 0x40_0000
 
+# pointer-chase builds its whole cycle up front, at about 40 B and one
+# RNG draw per line: 1 << 22 lines take some 160 MiB and 2 s
+POINTER_CHASE_MAX_LINES = 1 << 22
+
 # conflict-heavy flips one tag bit per pair.  With 512 lines the
 # mapping index covers address bits 6..14, so every flip below sits in
 # the tag at k=0 and each 2-bit index widening absorbs the next flip
@@ -302,6 +306,10 @@ def synth_trace(profile: str, events: int, seed: int,
         raise ValueError(
             f"footprint_lines {footprint_lines} reaches past the "
             f"{ADDRESS_BITS}-bit address space")
+    if profile == "pointer-chase" and footprint_lines > POINTER_CHASE_MAX_LINES:
+        raise ValueError(
+            f"pointer-chase footprint_lines must be at most "
+            f"{POINTER_CHASE_MAX_LINES}, got {footprint_lines}")
     # domain ids run 0..domains-1 and must stay below the reserved id
     if not 1 <= domains <= DOMAIN_NONE:
         raise ValueError(f"domains must be 1..{DOMAIN_NONE}, got {domains}")
