@@ -9,9 +9,10 @@ floor computed from the same trials.
 
 A trial adds one decision, so a run of T trials fills at most T of the
 histogram's rows x cols cells.  The matrix therefore logs each decision
-as one int64 code and only builds the dense histogram once the log
-holds rows * cols // 2 codes: decision storage never exceeds 1.5 times
-the dense histogram, and a matrix with fewer decisions holds none.
+as one int64 code and builds the dense histogram only when a decision
+meets a log that already holds rows * cols // 2 codes: decision storage
+never exceeds 1.5 times the dense histogram's bytes, and a matrix with
+no more decisions than that holds no histogram at all.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class ObservationMatrix:
     into a fresh (rows, cols) array on each read."""
 
     __slots__ = ("rows", "cols", "lat_sum", "row_cnt", "row_label",
-                 "col_label", "_log", "_logged", "_limit", "_dense", "_dense_n")
+                 "col_label", "_log", "_logged", "_limit", "_dense",
+                 "_dense_n")
 
     def __init__(self, rows: int, cols: int,
                  row_label: str = "value", col_label: str = "position"):
@@ -50,7 +52,7 @@ class ObservationMatrix:
         self.row_cnt = np.zeros(rows, dtype=np.int64)
         self._log = array("q")      # codes; only the first _logged are live
         self._logged = 0
-        self._limit = max(rows * cols // 2, 1)
+        self._limit = max(rows * cols // 2, 1)  # one code for 1 x 1
         self._dense = None          # flat int64 histogram of folded codes
         self._dense_n = 0           # decisions folded into _dense
 
@@ -70,6 +72,7 @@ class ObservationMatrix:
             n = self._logged
             if n == len(self._log):
                 n = self._make_room()
+            # plain ints, so a narrow numpy integer cannot overflow
             self._log[n] = index(row) * self.cols + index(decision)
             self._logged = n + 1
 
@@ -100,7 +103,7 @@ class ObservationMatrix:
         counts = np.bincount(self._codes(), minlength=self.rows * self.cols)
         if self._dense is not None:
             counts += self._dense
-        return counts.astype(np.int64, copy=False).reshape(self.rows, self.cols)
+        return counts.astype(np.int64, copy=False).reshape(self.rows, -1)
 
     @property
     def lat_cnt(self) -> np.ndarray:

@@ -306,7 +306,8 @@ def synth_trace(profile: str, events: int, seed: int,
         raise ValueError(
             f"footprint_lines {footprint_lines} reaches past the "
             f"{ADDRESS_BITS}-bit address space")
-    if profile == "pointer-chase" and footprint_lines > POINTER_CHASE_MAX_LINES:
+    if (profile == "pointer-chase"
+            and footprint_lines > POINTER_CHASE_MAX_LINES):
         raise ValueError(
             f"pointer-chase footprint_lines must be at most "
             f"{POINTER_CHASE_MAX_LINES}, got {footprint_lines}")

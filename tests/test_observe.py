@@ -61,9 +61,85 @@ def test_matrix_allocates_one_count_per_row():
         allocated, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # lat_sum and dec_cnt are 1 MiB each; a dense count array adds a third
+    # lat_sum is the one 1 MiB array; decisions start in an empty log,
+    # and dense per-cell trial and decision counts would add 1 MiB each
     assert allocated < 2.1 * (1 << 20)
     assert m.row_cnt.shape == (256,)
+
+
+def test_decision_counts_match_a_dense_reference():
+    rows, cols = 3, 8
+    m = ObservationMatrix(rows, cols)
+    ref = np.zeros((rows, cols), dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(11))
+    lat = [0.0] * cols
+    # 20x the cell count, so the 12-code log fills and folds many times
+    for step in range(20 * rows * cols):
+        row = int(rng.integers(rows))
+        decision = None if rng.random() < 0.3 else int(rng.integers(cols))
+        m.record(row, lat, decision)
+        if decision is not None:
+            ref[row, decision] += 1
+        if step % 37 == 0 or step == 20 * rows * cols - 1:
+            got = m.dec_cnt
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert np.array_equal(got, ref)
+            assert got.tobytes() == ref.tobytes()
+            assert m.trials == int(ref.sum())
+    got = m.dec_cnt
+    got[0, 0] += 100                      # a fresh array each read
+    assert np.array_equal(m.dec_cnt, ref)
+    with pytest.raises(AttributeError):
+        m.dec_cnt = ref
+
+
+def _traced_run(rows, cols, todo):
+    """Build a rows x cols matrix and record each (row, decision) in
+    todo, all under tracemalloc.  Return the matrix, the bytes traced
+    after each record beyond those of the freshly built matrix, and the
+    peak traced bytes."""
+    warm = ObservationMatrix(1, 2)        # numpy's first-call caches
+    for _ in range(3):
+        warm.record(0, [0.0, 0.0], 1)
+    assert warm.dec_cnt.tolist() == [[0, 3]]
+    lat = np.zeros(cols)
+    held = np.zeros(len(todo), dtype=np.int64)     # allocated untraced
+    tracemalloc.start()
+    try:
+        m = ObservationMatrix(rows, cols)
+        fixed, _ = tracemalloc.get_traced_memory()
+        for i, (row, decision) in enumerate(todo):
+            m.record(row, lat, decision)
+            held[i] = tracemalloc.get_traced_memory()[0] - fixed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return m, held, peak
+
+
+def test_a_short_run_allocates_no_decision_histogram():
+    m, _, peak = _traced_run(256, 512, [(t % 256, t % 64) for t in range(512)])
+    # lat_sum is 1 MiB; 512 decisions take 4 KiB of log, where a dense
+    # histogram would take another 1 MiB
+    assert peak < 1.1 * (1 << 20)
+    assert m.trials == 512
+
+
+def test_decision_storage_stays_within_one_and_a_half_histograms():
+    rows, cols = 64, 64
+    cells = rows * cols
+    dense = 8 * cells
+    rng = np.random.Generator(np.random.PCG64(5))
+    todo = [(int(r), None if d == cols else int(d))
+            for r, d in zip(rng.integers(rows, size=12 * cells),
+                            rng.integers(cols + 1, size=12 * cells))]
+    m, held, _ = _traced_run(rows, cols, todo)
+    assert m.trials > 10 * cells
+    # object headers (histogram, log) and the loop's own small objects
+    headers = 1024
+    logged = np.cumsum([d is not None for _, d in todo])
+    assert held[logged <= cells // 2].max() <= dense // 2 + headers
+    assert held.max() <= 1.5 * dense + headers
 
 
 @pytest.mark.parametrize("call,fragment", [
@@ -91,6 +167,30 @@ def test_folding_groups_positions_mod_cols():
     assert f.dec_cnt[0, 1] == 1
     with pytest.raises(ValueError):
         m.folded(3)
+
+
+def test_folding_keeps_decisions_past_the_folded_width():
+    m = ObservationMatrix(1, 8)
+    m.record(0, [0.0] * 8, 5)
+    f = m.folded(4)
+    assert f.trials == 1
+    assert f.dec_cnt.tolist() == [[0, 1, 0, 0]]
+
+
+def test_folding_matches_a_dense_reference_after_the_log_folds():
+    m = ObservationMatrix(4, 8)
+    ref = np.zeros((4, 8), dtype=np.int64)
+    for t in range(100):                  # past the 16-code log limit
+        m.record(t % 4, [0.0] * 8, (3 * t) % 8)
+        ref[t % 4, (3 * t) % 8] += 1
+    for cols in (1, 2, 4, 8):
+        f = m.folded(cols)
+        expect = ref.reshape(4, -1, cols).sum(axis=1)
+        assert f.dec_cnt.tobytes() == expect.tobytes()
+        assert f.trials == 100
+        f.record(1, [0.0] * cols, cols - 1)      # the fold keeps counting
+        expect[1, cols - 1] += 1
+        assert np.array_equal(f.dec_cnt, expect) and f.trials == 101
 
 
 def test_folding_keeps_the_row_counts():

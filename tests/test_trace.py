@@ -4,9 +4,9 @@ import pytest
 
 from starcache.config import RunConfig
 from starcache.core import ADDRESS_LIMIT, Rng
-from starcache.trace import (_SYNTH_BASE, EventKind, PROFILES, TraceEvent,
-                             TraceParseError, format_trace, parse_trace,
-                             replay, synth_trace)
+from starcache.trace import (_SYNTH_BASE, POINTER_CHASE_MAX_LINES, EventKind,
+                             PROFILES, TraceEvent, TraceParseError,
+                             format_trace, parse_trace, replay, synth_trace)
 
 
 def _hier(model="sa-lru", **kw):
@@ -167,6 +167,13 @@ def test_synth_footprint_stays_inside_the_address_space():
                    if e.addr is not None)
         with pytest.raises(ValueError, match="address space"):
             synth_trace(profile, 200, 1, footprint_lines=widest + 1)
+
+
+def test_pointer_chase_footprint_has_a_line_limit():
+    # rejected before the cycle is built, so no large list is made here
+    with pytest.raises(ValueError, match=str(POINTER_CHASE_MAX_LINES)):
+        synth_trace("pointer-chase", 10, 1,
+                    footprint_lines=POINTER_CHASE_MAX_LINES + 1)
 
 
 def test_synth_deterministic_per_seed():
