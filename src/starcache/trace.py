@@ -29,6 +29,7 @@ longer one at the line that does not fit.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from dataclasses import dataclass, field, fields
 
 from .core import (ADDRESS_BITS, ADDRESS_LIMIT, DOMAIN_NONE, Rng,
@@ -77,6 +78,19 @@ def _parse_domain(tok: str, line_no: int) -> int:
     return dom
 
 
+def _parse_addr(tok: str, line_no: int) -> int:
+    try:
+        if not (tok.isascii() and tok.isalnum()):
+            raise ValueError
+        addr = int(tok, 16)
+    except ValueError:
+        raise TraceParseError(line_no, f"bad address {tok!r}") from None
+    if addr >= ADDRESS_LIMIT:
+        raise TraceParseError(
+            line_no, f"address 0x{addr:x} outside the 48-bit space")
+    return addr
+
+
 # the canonical spellings of every valid domain id, so the common case
 # skips _parse_domain
 _DOMAIN_IDS = {str(dom): dom for dom in range(DOMAIN_NONE)}
@@ -88,13 +102,41 @@ _SPEC_END = EventKind.SPEC_END
 _DOMAIN_SWITCH = EventKind.DOMAIN_SWITCH
 _COMMENT = EventKind.COMMENT
 
+# parse_trace splits the text into lines about this many characters at
+# a time, so it never holds the whole line list beside its events
+_CHUNK = 1 << 16
+# format_trace joins this many events' lines at a time
+_FORMAT_CHUNK = 4096
+
+# every character str.splitlines ends a line at; a comment holding one
+# would not read back as one line
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _chunks(text: str):
+    """Cut text just after a "\\n" at least _CHUNK characters on.  No
+    line break spans a "\\n" ("\\r\\n" ends at it), so splitting each
+    chunk yields exactly the lines text.splitlines() would."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _CHUNK - 1) + 1 or end
+        yield text[start:cut]
+        start = cut
+
 
 def parse_trace(text: str) -> list[TraceEvent]:
+    """Parse trace text into events (see the module docstring).
+
+    It holds one chunk of lines at a time, and every load or store of
+    one address token shares one int.
+    """
     events: list[TraceEvent] = []
     append = events.append
     domain_ids = _DOMAIN_IDS
+    addrs: dict[str, int] = {}
     open_window_line = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
+    for line_no, raw in enumerate(lines, start=1):
         toks = raw.split()
         if not toks:
             continue
@@ -104,15 +146,9 @@ def parse_trace(text: str) -> list[TraceEvent]:
             if n != 2 and n != 3:
                 raise TraceParseError(line_no, f"expected '{op} <hexaddr> [domain]'")
             tok = toks[1]
-            try:
-                if not (tok.isascii() and tok.isalnum()):
-                    raise ValueError
-                addr = int(tok, 16)
-            except ValueError:
-                raise TraceParseError(line_no, f"bad address {tok!r}") from None
-            if addr >= ADDRESS_LIMIT:
-                raise TraceParseError(
-                    line_no, f"address 0x{addr:x} outside the 48-bit space")
+            addr = addrs.get(tok)
+            if addr is None:
+                addr = addrs[tok] = _parse_addr(tok, line_no)
             if n == 2:
                 domain = None
             else:
@@ -155,27 +191,59 @@ def parse_trace(text: str) -> list[TraceEvent]:
 
 
 def format_trace(events: list[TraceEvent]) -> str:
-    out = []
-    append = out.append
-    for ev in events:
-        k = ev.kind
-        if k is _LOAD:
-            dom = ev.domain
-            append(f"L 0x{ev.addr:x}" if dom is None
-                   else f"L 0x{ev.addr:x} {dom}")
-        elif k is _STORE:
-            dom = ev.domain
-            append(f"S 0x{ev.addr:x}" if dom is None
-                   else f"S 0x{ev.addr:x} {dom}")
-        elif k is _SPEC_BEGIN:
-            append("SPEC_BEGIN")
-        elif k is _SPEC_END:
-            append("SPEC_END commit" if ev.commit else "SPEC_END squash")
-        elif k is _DOMAIN_SWITCH:
-            append(f"DOMAIN_SWITCH {ev.domain}")
-        else:
-            append(f"# {ev.text}")
-    return "\n".join(out) + "\n"
+    """Write events as trace text, one line each, that parse_trace reads
+    back as the same events.  A comment keeps its text between "# " and
+    the end of the line, and parse_trace strips its surrounding
+    whitespace.
+
+    Raises ValueError naming the 1-based index of the first event
+    parse_trace would reject or split: a load or store with no address,
+    an address outside the 48-bit space, a domain outside
+    0..DOMAIN_NONE - 1, or a comment holding a line break.
+    """
+    parts = []
+    for start in range(0, len(events), _FORMAT_CHUNK):
+        out = []
+        append = out.append
+        for ev in events[start:start + _FORMAT_CHUNK]:
+            # every event before this one appended one line, so
+            # start + len(out) + 1 is this event's 1-based index
+            k = ev.kind
+            if k is _LOAD or k is _STORE:
+                addr, dom = ev.addr, ev.domain
+                op = "L" if k is _LOAD else "S"
+                if addr is None or not 0 <= addr < ADDRESS_LIMIT:
+                    raise _unformattable(start + len(out), f"{op} address",
+                                         addr)
+                if dom is None:
+                    append(f"{op} 0x{addr:x}")
+                elif 0 <= dom < DOMAIN_NONE:
+                    append(f"{op} 0x{addr:x} {dom}")
+                else:
+                    raise _unformattable(start + len(out), f"{op} domain",
+                                         dom)
+            elif k is _SPEC_BEGIN:
+                append("SPEC_BEGIN")
+            elif k is _SPEC_END:
+                append("SPEC_END commit" if ev.commit else "SPEC_END squash")
+            elif k is _DOMAIN_SWITCH:
+                dom = ev.domain
+                if dom is None or not 0 <= dom < DOMAIN_NONE:
+                    raise _unformattable(start + len(out),
+                                         "DOMAIN_SWITCH domain", dom)
+                append(f"DOMAIN_SWITCH {dom}")
+            elif _LINE_BREAKS.isdisjoint(ev.text):
+                append(f"# {ev.text}")
+            else:
+                raise _unformattable(start + len(out),
+                                     "comment holding a line break", ev.text)
+        append("")
+        parts.append("\n".join(out))
+    return "".join(parts) or "\n"
+
+
+def _unformattable(at: int, what: str, value) -> ValueError:
+    return ValueError(f"event {at + 1}: cannot format {what} {value!r}")
 
 
 @dataclass(slots=True)
