@@ -29,8 +29,8 @@ longer one at the line that does not fit.
 from __future__ import annotations
 
 import enum
-from itertools import chain
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 from .core import (ADDRESS_BITS, ADDRESS_LIMIT, DOMAIN_NONE, Rng,
                    chance_threshold)
@@ -190,11 +190,14 @@ def parse_trace(text: str) -> list[TraceEvent]:
     return events
 
 
+def _unformattable(at: int, what: str, value) -> ValueError:
+    return ValueError(f"event {at + 1}: cannot format {what} {value!r}")
+
+
 def format_trace(events: list[TraceEvent]) -> str:
     """Write events as trace text, one line each, that parse_trace reads
-    back as the same events.  A comment keeps its text between "# " and
-    the end of the line, and parse_trace strips its surrounding
-    whitespace.
+    back as the same events, except that a comment's surrounding
+    whitespace is not kept.
 
     Raises ValueError naming the 1-based index of the first event
     parse_trace would reject or split: a load or store with no address,
@@ -240,10 +243,6 @@ def format_trace(events: list[TraceEvent]) -> str:
         append("")
         parts.append("\n".join(out))
     return "".join(parts) or "\n"
-
-
-def _unformattable(at: int, what: str, value) -> ValueError:
-    return ValueError(f"event {at + 1}: cannot format {what} {value!r}")
 
 
 @dataclass(slots=True)

@@ -1,9 +1,14 @@
 import hashlib
+import tracemalloc
+from itertools import chain
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from starcache import trace
 from starcache.config import RunConfig
-from starcache.core import ADDRESS_LIMIT, Rng
+from starcache.core import ADDRESS_LIMIT, DOMAIN_NONE, Rng
 from starcache.trace import (_SYNTH_BASE, POINTER_CHASE_MAX_LINES, EventKind,
                              PROFILES, TraceEvent, TraceParseError,
                              format_trace, parse_trace, replay, synth_trace)
@@ -79,6 +84,109 @@ def test_parse_errors(text, line, fragment):
         parse_trace(text)
     assert info.value.line_no == line
     assert fragment in str(info.value)
+
+
+def _parse_in_chunks(text, chunk):
+    """parse_trace's events, or its error's message and line, with the
+    chunk size set to `chunk` characters."""
+    with mock.patch.object(trace, "_CHUNK", chunk):
+        try:
+            return parse_trace(text)
+        except TraceParseError as err:
+            return str(err), err.line_no
+
+
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+_LINES = ["L 0x40", "S 40 1", "\tL 0X4a00 2\t", "L 0x40 255", "L zz", "L",
+          "# a comment", "#", "SPEC_BEGIN", "SPEC_END commit",
+          "SPEC_END squash", "SPEC_END maybe", "DOMAIN_SWITCH 2",
+          "DOMAIN_SWITCH x", "JUMP 0x40", "", "  "]
+_TEXTS = st.builds(
+    "".join,
+    st.lists(st.sampled_from(_LINES) | st.sampled_from(_BREAKS), max_size=40))
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(text=_TEXTS, chunk=st.integers(1, 12))
+@example(text="L 0x40\r\nL 0x80\r\n", chunk=7)      # CRLF across the edge
+@example(text="L 0x40\rSPEC_BEGIN\x85L 0x80", chunk=1)  # no "\n" at all
+def test_parse_in_chunks_matches_one_chunk(text, chunk):
+    with mock.patch.object(trace, "_CHUNK", chunk):
+        lines = list(chain.from_iterable(map(str.splitlines,
+                                             trace._chunks(text))))
+    assert lines == text.splitlines()
+    assert (_parse_in_chunks(text, chunk)
+            == _parse_in_chunks(text, len(text) + 1))
+
+
+def test_parse_holds_one_chunk_and_one_int_per_address():
+    text = format_trace(synth_trace("spec-mix", 60_000, 1, p_squash=0.111,
+                                    footprint_lines=_L2_LINES))
+    tracemalloc.start()
+    try:
+        events = parse_trace(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beyond the events: one chunk's lines and the address table
+    assert peak <= 1.1 * retained + trace._CHUNK
+    addrs = [ev.addr for ev in events if ev.addr is not None]
+    assert len({id(a) for a in addrs}) == len(set(addrs)) == _L2_LINES
+
+
+def test_format_holds_about_twice_its_text():
+    events = synth_trace("spec-mix", 60_000, 1, p_squash=0.111,
+                         footprint_lines=_L2_LINES)
+    tracemalloc.start()
+    try:
+        text = format_trace(events)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size >= len(text)
+    # the joined chunks and their join, and one chunk's lines
+    assert peak <= 2.2 * size
+
+
+def test_format_writes_a_newline_for_no_events():
+    assert format_trace([]) == "\n"
+    assert parse_trace(format_trace([])) == []
+
+
+def test_line_breaks_are_those_splitlines_knows():
+    every = "".join(map(chr, range(0x110000)))
+    assert trace._LINE_BREAKS == {
+        line[-1] for line in every.splitlines(keepends=True)[:-1]}
+
+
+@pytest.mark.parametrize("bad,fragment", [
+    (TraceEvent(EventKind.LOAD), "L address None"),
+    (TraceEvent(EventKind.STORE), "S address None"),
+    (TraceEvent(EventKind.LOAD, ADDRESS_LIMIT), "L address 281474976710656"),
+    (TraceEvent(EventKind.STORE, -64, 0), "S address -64"),
+    (TraceEvent(EventKind.LOAD, 0x40, DOMAIN_NONE), "L domain 255"),
+    (TraceEvent(EventKind.STORE, 0x40, -1), "S domain -1"),
+    (TraceEvent(EventKind.DOMAIN_SWITCH), "DOMAIN_SWITCH domain None"),
+    (TraceEvent(EventKind.DOMAIN_SWITCH, domain=DOMAIN_NONE),
+     "DOMAIN_SWITCH domain 255"),
+    *[(TraceEvent(EventKind.COMMENT, text=f"one{br}two"), "line break")
+      for br in _BREAKS],
+])
+def test_format_refuses_what_parse_rejects(bad, fragment):
+    good = TraceEvent(EventKind.LOAD, 0x40, 0)
+    # past the first chunk, so the index counts every chunk before it
+    events = [good] * (trace._FORMAT_CHUNK + 2) + [bad, good]
+    with pytest.raises(ValueError,
+                       match=f"^event {trace._FORMAT_CHUNK + 3}: ") as info:
+        format_trace(events)
+    assert fragment in str(info.value)
+
+
+def test_format_drops_the_whitespace_around_a_comment():
+    text = format_trace([TraceEvent(EventKind.COMMENT, text="  padded \t")])
+    assert text == "#   padded \t\n"
+    assert parse_trace(text)[0].text == "padded"
 
 
 def test_replay_rejects_a_window_longer_than_the_engine():
