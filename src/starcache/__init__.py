@@ -22,8 +22,8 @@ from .config import ConfigError, RunConfig, load_config
 from .core import CacheGeometry, FlatMemory, Rng
 from .engine import SpecEngine, SquashReport
 from .hierarchy import Hierarchy
-from .models import (AccessKind, AccessOutcome, FarrCache, NewsCache, Op,
-                     SetAssocLru, SFillAction, MODEL_NAMES)
+from .models import (AccessOutcome, FarrCache, NewsCache, SetAssocLru,
+                     MODEL_NAMES)
 from .observe import (ObservationMatrix, RecoveryResult, leakage_score,
                       mi_bits, noise_floor, recover_byte, recover_nibble)
 from .trace import (ReplayStats, TraceEvent, TraceParseError, parse_trace,
@@ -32,12 +32,11 @@ from .trace import (ReplayStats, TraceEvent, TraceParseError, parse_trace,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessKind", "AccessOutcome", "AttackRun", "ATTACK_NAMES",
-    "CacheGeometry", "CheckResult", "ConfigError", "FarrCache", "FlatMemory",
-    "Hierarchy", "MODEL_NAMES", "NewsCache", "ObservationMatrix", "Op",
-    "PROFILES", "RecoveryResult", "ReplayStats", "Rng", "RunConfig",
-    "SetAssocLru", "SFillAction", "SpecEngine",
-    "SquashReport", "SweepRun", "TraceEvent", "TraceParseError",
+    "AccessOutcome", "AttackRun", "ATTACK_NAMES", "CacheGeometry",
+    "CheckResult", "ConfigError", "FarrCache", "FlatMemory", "Hierarchy",
+    "MODEL_NAMES", "NewsCache", "ObservationMatrix", "PROFILES",
+    "RecoveryResult", "ReplayStats", "Rng", "RunConfig", "SetAssocLru",
+    "SpecEngine", "SquashReport", "SweepRun", "TraceEvent", "TraceParseError",
     "format_trace", "leakage_score", "load_config", "mi_bits", "noise_floor",
     "parse_trace", "recover_byte", "recover_nibble", "replay",
     "run_flush_reload_aes", "run_prime_probe_aes", "run_selftest",

@@ -15,6 +15,7 @@ an ObservationMatrix whose recovery statistics do the actual guessing.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +102,8 @@ class AttackRun:
             out.update(self.recovery.as_summary())
         else:
             out["recovered"] = "NONE" if self.recovered is None else self.recovered
-            out["margin_cycles"] = round(self.margin, 6)
+            out["margin_cycles"] = round(self.margin, 6) \
+                if math.isfinite(self.margin) else None
         out["leakage_score_bits"] = None if self.score is None \
             else round(self.score, 6)
         out["noise_floor_bits"] = None if self.floor is None \

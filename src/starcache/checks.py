@@ -17,8 +17,7 @@ import numpy as np
 from .config import RunConfig
 from .core import CacheGeometry, FlatMemory, Rng
 from .engine import SpecEngine
-from .models import (AccessKind, FarrCache, NewsCache, Op, SetAssocLru,
-                     SFillAction)
+from .models import FarrCache, NewsCache, SetAssocLru
 from .trace import parse_trace, replay, synth_trace, format_trace
 
 # upper chi-square quantile, 15 degrees of freedom, tail mass 0.001
@@ -119,18 +118,18 @@ def check_cross_domain_no_hit(quick: bool) -> CheckResult:
             addr = base + 64 * i
             hier.load(addr, 1)
             out = hier.load(addr, 2)
-            if out.kind is AccessKind.HIT:
+            if out.source_level == 1:
                 return CheckResult("cross-domain-no-hit", False,
                                    f"{model}: foreign line hit at 0x{addr:x}")
             again = hier.load(addr, 1)
-            if again.kind is not AccessKind.HIT:
+            if again.source_level != 1:
                 return CheckResult(
                     "cross-domain-no-hit", False,
                     f"{model}: own line lost after foreign access 0x{addr:x}")
     cfg = RunConfig(model="sa-lru").validate()
     hier = cfg.build_hierarchy(Rng(103).fork("nohit-base"))
     hier.load(base, 1)
-    if hier.load(base, 2).kind is not AccessKind.HIT:
+    if hier.load(base, 2).source_level != 1:
         return CheckResult("cross-domain-no-hit", False,
                            "conventional model failed to share across domains")
     return CheckResult("cross-domain-no-hit", True,
@@ -205,26 +204,25 @@ def sfill_case_rows() -> list[dict]:
                 for source in (2, 3):
                     cache = _standalone_cache(kind, level)
                     if state == "found-nonspec":
-                        cache.access(Op.LOAD, addr, 0, 0)
+                        cache.access(addr, 0, 0)
                     elif state == "found-spec":
-                        cache.access(Op.LOAD, addr, 0, 1)
+                        cache.access(addr, 0, 1)
                     before = cache.inval_dropped_case_i
-                    action = cache.handle_sfill_inv(addr, 0, source)
+                    propagates = cache.handle_sfill_inv(addr, 0, source)
                     resident = cache.find(addr, 0) is not None
                     if state == "found-nonspec":
-                        expect_action = SFillAction.DROP
+                        expect_propagates = False
                         expect_resident = True
                         expect_counter = before + 1
                     else:
-                        expect_action = (SFillAction.PROPAGATE
-                                         if source > level else SFillAction.DROP)
+                        expect_propagates = source > level
                         expect_resident = False
                         expect_counter = before
                     rows.append({
                         "cache": kind, "level": level, "state": state,
-                        "source_level": source, "action": action,
+                        "source_level": source, "propagates": propagates,
                         "resident": resident,
-                        "ok": (action is expect_action
+                        "ok": (propagates is expect_propagates
                                and resident is expect_resident
                                and cache.inval_dropped_case_i == expect_counter),
                     })
@@ -233,12 +231,12 @@ def sfill_case_rows() -> list[dict]:
         geom = CacheGeometry(64, 64, 4)
         cache = SetAssocLru(geom, 1, FlatMemory(64), secure_inval=False,
                             level=1)
-        cache.access(Op.LOAD, addr, 0, 1 if state == "found-spec" else 0)
-        action = cache.handle_sfill_inv(addr, 0, 3)
+        cache.access(addr, 0, 1 if state == "found-spec" else 0)
+        propagates = cache.handle_sfill_inv(addr, 0, 3)
         rows.append({
             "cache": "sa-lru", "level": 1, "state": state, "source_level": 3,
-            "action": action, "resident": cache.find(addr, 0) is not None,
-            "ok": action is SFillAction.DROP and cache.find(addr, 0) is not None,
+            "propagates": propagates, "resident": cache.find(addr, 0) is not None,
+            "ok": propagates is False and cache.find(addr, 0) is not None,
         })
     return rows
 
@@ -289,7 +287,7 @@ def check_lru_reference(quick: bool, traces: int = 10,
         rng = Rng(seed * 1000 + t)
         for i in range(events):
             addr = 0x500_0000 + 64 * rng.choose(footprint)
-            got = hier.load(addr, 0).kind is AccessKind.HIT
+            got = hier.load(addr, 0).source_level == 1
             want = ref.access(addr)
             if got != want:
                 return CheckResult(

@@ -65,7 +65,8 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+        fh.write(json.dumps(payload, sort_keys=True, indent=2,
+                            allow_nan=False))
         fh.write("\n")
 
 

@@ -76,9 +76,7 @@ class SpecEngine:
         self.window: list[WindowEntry] = []
         self._next_id = 0
         self._unexecuted = 0
-        self.loads_issued = 0
         self.loads_squashed = 0
-        self.squashes = 0
 
     # -- bookkeeping --
     def _make_room(self) -> None:
@@ -117,7 +115,6 @@ class SpecEngine:
         entry = WindowEntry(entry_id, _LOAD, addr, domain, spec,
                             out.source_level)
         window.append(entry)
-        self.loads_issued += 1
         return entry
 
     def issue_store(self, addr: int, domain: int) -> WindowEntry:
@@ -177,7 +174,6 @@ class SpecEngine:
         pos = self._position(entry_id)
         doomed = self.window[pos:]
         del self.window[pos:]
-        self.squashes += 1
         report = SquashReport()
         sent = []
         for entry in doomed:

@@ -37,12 +37,7 @@ payload rather than writing into the one it holds.
 from __future__ import annotations
 
 from .core import CacheGeometry, FlatMemory, Rng
-from .models import (AccessOutcome, FarrCache, NewsCache, Op, SetAssocLru,
-                     SFillAction)
-
-_LOAD = Op.LOAD
-_STORE = Op.STORE
-_PROPAGATE = SFillAction.PROPAGATE
+from .models import AccessOutcome, FarrCache, NewsCache, SetAssocLru
 
 
 class Hierarchy:
@@ -100,7 +95,7 @@ class Hierarchy:
     def load(self, addr: int, domain: int, spec_bit: int = 0) -> AccessOutcome:
         self.loads += 1
         # looked up per call: a tracer may wrap the instance's access
-        out = self.l1.access(_LOAD, addr, domain, spec_bit)
+        out = self.l1.access(addr, domain, spec_bit)
         source = out.source_level
         if source == 1:
             self.l1_hits += 1
@@ -123,7 +118,7 @@ class Hierarchy:
             value = self._store_seq
             self._store_seq = (self._store_seq + 1) & 0xFF
         # hit/miss tallies cover loads only, so hits + misses = loads holds
-        out = self.l1.access(_STORE, addr, domain, 0, value & 0xFF)
+        out = self.l1.access(addr, domain, 0, value & 0xFF)
         if self.debug_checks:
             self.check_invariants()
         return out
@@ -164,8 +159,7 @@ class Hierarchy:
         it on to L2.  source_level is where the squashed load's data
         came from, 2 or 3."""
         self.sfill_inv_sent += 1
-        return self.l1.handle_sfill_inv(addr, domain,
-                                        source_level) is _PROPAGATE
+        return self.l1.handle_sfill_inv(addr, domain, source_level)
 
     def squash(self, loads) -> None:
         """Invalidate one squashed window's (addr, domain, source_level)

@@ -22,8 +22,9 @@ with spec_bit set are never dirty, which lets squash-time invalidation
 drop them without a write-back.
 
 Accesses allocate no outcome: every model returns one preallocated,
-immutable hit outcome, and one shared miss outcome per (kind, source
-level, cycles below), built the first time it is needed.
+immutable hit outcome, and one shared miss outcome per (source level,
+cycles below), built the first time it is needed.  A NEWS forward
+without fill shares the outcome of a filled miss down the same path.
 
 Line payloads are copy-on-write.  A lower level's fetch returns
 immutable bytes, and a fill keeps that object, so an L1 line, its L2
@@ -32,12 +33,16 @@ bytearray on its first store.  Nothing else writes a payload in place:
 a write-back into L2 or a flush resync replaces the L2 payload with
 fresh bytes.  So a shared buffer is never written.
 
-Levels stack: each one's lower is the level below it, and a level
-passes up what it cannot serve through two calls every level answers.
-fetch(addr, domain, spec_bit) returns (payload, source level, cycles
-below), and writeback(base, domain, data) takes a dirty line coming
-down.  The set-associative cache answers both as an L2 does, and the
-flat memory in core answers them as the bottom level.
+Levels stack: each one's lower is the level below it.  Every model
+answers access(addr, domain, spec_bit, value=None), a store of the byte
+value exactly when a value is passed; flush_line(addr, domain,
+own_domain_only), which returns the removed line or None; and
+handle_sfill_inv(addr, domain, source_level), True when the squash
+invalidation travels on, which it does only when the data came from
+below this level.  A level below answers fetch(addr, domain, spec_bit)
+with (payload, source level, cycles below) and writeback(base, domain,
+data) for a dirty line coming down: the set-associative cache as an L2
+does, the flat memory in core as the bottom level.
 
 A line is known by its base (the address with its offset bits
 cleared).  The random-slot designs find a line through its (domain,
@@ -53,70 +58,38 @@ most.  The hierarchy uses it to recall L1 copies when L2 evicts.
 
 from __future__ import annotations
 
-import enum
 from collections import OrderedDict
 from typing import NamedTuple
 
 from .core import CacheGeometry, Rng
 
 
-class Op(enum.Enum):
-    LOAD = "load"
-    STORE = "store"
-
-
-class AccessKind(enum.Enum):
-    HIT = "hit"
-    MISS_FILLED = "miss_filled"
-    MISS_FORWARD_NOFILL = "miss_forward_nofill"
-
-
-class SFillAction(enum.Enum):
-    PROPAGATE = "propagate"
-    DROP = "drop"
-
-
-# The access paths compare against these instead of looking the members
-# up on their enum classes on every call.
-_LOAD = Op.LOAD
-_STORE = Op.STORE
-_HIT = AccessKind.HIT
-_FILLED = AccessKind.MISS_FILLED
-_NOFILL = AccessKind.MISS_FORWARD_NOFILL
-_DROP = SFillAction.DROP
-_PROPAGATE = SFillAction.PROPAGATE
-
-
 class AccessOutcome(NamedTuple):
     """Result of one L1 access.
 
-    kind HIT implies source_level 1; the miss kinds carry the level that
-    supplied the data (2 = L2, 3 = memory).  Outcomes are immutable: a
-    model hands out the same outcome for every access of one kind that
-    took the same path.
+    source_level is the level that supplied the data: 1 on a hit, 2 for
+    L2, 3 for memory.  Outcomes are immutable: a model hands out the
+    same outcome for every access that took the same path.
     """
 
-    kind: AccessKind
     latency: int
     source_level: int
 
 
 class _MissOutcomes(dict):
-    """The shared outcomes of one miss kind, keyed by below << 2 |
+    """The shared miss outcomes of one level, keyed by below << 2 |
     source: the cycles the level below took, and the level that supplied
     the data (2 or 3, so two bits hold it).  Each outcome is built the
     first time it is looked up."""
 
-    __slots__ = ("kind", "hit_cycles")
+    __slots__ = ("hit_cycles",)
 
-    def __init__(self, kind: AccessKind, hit_cycles: int):
+    def __init__(self, hit_cycles: int):
         super().__init__()
-        self.kind = kind
         self.hit_cycles = hit_cycles
 
     def __missing__(self, key: int) -> AccessOutcome:
-        out = self[key] = AccessOutcome(self.kind,
-                                        self.hit_cycles + (key >> 2), key & 3)
+        out = self[key] = AccessOutcome(self.hit_cycles + (key >> 2), key & 3)
         return out
 
 
@@ -168,8 +141,8 @@ class SetAssocLru:
         self._assoc = geometry.associativity
         # per-set OrderedDict keyed by line base; insertion end is MRU
         self._sets = [OrderedDict() for _ in range(geometry.set_count)]
-        self._hit = AccessOutcome(_HIT, hit_cycles, 1)
-        self._filled = _MissOutcomes(_FILLED, hit_cycles)
+        self._hit = AccessOutcome(hit_cycles, 1)
+        self._miss = _MissOutcomes(hit_cycles)
         self.inval_dropped_case_i = 0
         # set by the hierarchy when this cache backs an upper level;
         # called after an eviction so the upper copy can be recalled
@@ -197,7 +170,7 @@ class SetAssocLru:
         for s in self._sets:
             yield from s.values()
 
-    def access(self, op: Op, addr: int, domain: int, spec_bit: int,
+    def access(self, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
         base = addr & self._line_mask
         od = self._sets[(base >> self._offset_bits) & self._setmask]
@@ -206,7 +179,7 @@ class SetAssocLru:
             od.move_to_end(base)
             if not spec_bit:
                 rec.spec_bit = 0
-            if op is _STORE:
+            if value is not None:
                 _store(rec, addr - base, value)
             return self._hit
 
@@ -218,19 +191,19 @@ class SetAssocLru:
             if self.on_evict is not None:
                 self.on_evict(vbase)
         rec = od[base] = CacheLineMeta(base, domain, spec_bit, 0, data)
-        if op is _STORE:
+        if value is not None:
             _store(rec, addr - base, value)
-        return self._filled[below << 2 | source]
+        return self._miss[below << 2 | source]
 
     def fetch(self, addr: int, domain: int, spec_bit: int):
         """Serve a miss from the level above: load addr's line here,
         filling it from below first on a miss."""
         # looked up per call: a tracer may wrap the instance's access
-        out = self.access(_LOAD, addr, domain, spec_bit)
+        out = self.access(addr, domain, spec_bit)
         # the access left the line in its set; read the payload there
         base = addr & self._line_mask
         data = self._sets[(base >> self._offset_bits) & self._setmask][base].data
-        return data, 2 if out.kind is _HIT else 3, out.latency
+        return data, 2 if out.source_level == 1 else 3, out.latency
 
     def writeback(self, base: int, domain: int, data) -> None:
         """Land a dirty line from the level above in its line here,
@@ -252,21 +225,21 @@ class SetAssocLru:
         return rec
 
     def handle_sfill_inv(self, addr: int, domain: int,
-                         source_level: int) -> SFillAction:
+                         source_level: int) -> bool:
         if not self.secure_inval:
             # conventional cache: the message means nothing here
-            return _DROP
+            return False
         base = addr & self._line_mask
         od = self._sets[(base >> self._offset_bits) & self._setmask]
         rec = od.get(base)
         if rec is not None and rec.domain == domain:
             if not rec.spec_bit:
                 self.inval_dropped_case_i += 1
-                return _DROP
+                return False
             assert not rec.dirty, "speculative line must be clean"
             del od[base]
         # fell through: either invalidated or not resident here
-        return _PROPAGATE if source_level > self.level else _DROP
+        return source_level > self.level
 
 
 class NewsCache:
@@ -311,9 +284,8 @@ class NewsCache:
         self._free = list(range(n - 1, -1, -1))
         self._keys: dict[tuple[int, int], int] = {}   # mapping entry -> slot
         self._at: dict[int, list[int]] = {}           # base -> slots
-        self._hit = AccessOutcome(_HIT, hit_cycles, 1)
-        self._filled = _MissOutcomes(_FILLED, hit_cycles)
-        self._nofill = _MissOutcomes(_NOFILL, hit_cycles)
+        self._hit = AccessOutcome(hit_cycles, 1)
+        self._miss = _MissOutcomes(hit_cycles)
         self.inval_dropped_case_i = 0
         self.tagmiss_forward_nofill = 0
 
@@ -383,7 +355,7 @@ class NewsCache:
             if self._slots[slot] is not None:
                 return slot
 
-    def access(self, op: Op, addr: int, domain: int, spec_bit: int,
+    def access(self, addr: int, domain: int, spec_bit: int,
                value: int | None = None) -> AccessOutcome:
         base = addr & self._line_mask
         key = (domain, base & self._key_mask)   # the mapping entry
@@ -393,7 +365,7 @@ class NewsCache:
             if rec.base == base:        # the tag match
                 if not spec_bit:
                     rec.spec_bit = 0
-                if op is _STORE:
+                if value is not None:
                     _store(rec, addr - base, value)
                 return self._hit
 
@@ -409,7 +381,7 @@ class NewsCache:
                 # line; evict one random valid line instead
                 self.tagmiss_forward_nofill += 1
                 self._evict_slot(self._random_valid_slot())
-                return self._nofill[below << 2 | source]
+                return self._miss[below << 2 | source]
             # non-speculative conflict replaces the conflicting line in
             # place; the mapping key stays, the base changes
             self._evict_slot(slot)
@@ -424,9 +396,9 @@ class NewsCache:
             self._at[base] = [slot]
         else:
             at.append(slot)
-        if op is _STORE:
+        if value is not None:
             _store(rec, addr - base, value)
-        return self._filled[below << 2 | source]
+        return self._miss[below << 2 | source]
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool = True) -> CacheLineMeta | None:
@@ -435,17 +407,17 @@ class NewsCache:
         return None if slot is None else self._release(slot)
 
     def handle_sfill_inv(self, addr: int, domain: int,
-                         source_level: int) -> SFillAction:
+                         source_level: int) -> bool:
         slot = self._slot_of(addr, domain)
         if slot is not None:
             rec = self._slots[slot]
             if not rec.spec_bit:
                 self.inval_dropped_case_i += 1
-                return _DROP
+                return False
             assert not rec.dirty, "speculative line must be clean"
             self._release(slot)
         # fell through: either invalidated or not resident here
-        return _PROPAGATE if source_level > self.level else _DROP
+        return source_level > self.level
 
 
 class FarrCache(NewsCache):

@@ -298,8 +298,9 @@ def extreme_with_margin(values: np.ndarray, mode: str) -> tuple[int, float]:
 
 def recover_byte(values: np.ndarray, mode: str,
                  threshold: float) -> tuple[int | None, float]:
-    """Pick the significant extreme column as the recovered byte."""
+    """Pick the significant extreme column as the recovered byte.
+    Abstains unless margin >= threshold, which a NaN margin fails."""
     c, margin = extreme_with_margin(values, mode)
-    if margin < threshold:
+    if not margin >= threshold:
         return None, margin
     return c, margin

@@ -62,6 +62,23 @@ def test_attack_rejects_nan_threshold_flags(tmp_path, capsys, flag):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_attack_abstains_on_a_nan_margin(tmp_path, capsys):
+    # noise this wide overflows the latencies, so the margin is NaN
+    out = tmp_path / "o"
+    rc = main(["attack", "fr-spectre", "--trials", "1",
+               "--noise-sigma", "1e308", "--out", str(out)])
+    assert rc == 0
+    assert "recovered: NONE" in capsys.readouterr().out
+
+    def refuse(constant):
+        raise ValueError(f"summary holds {constant}, which is not JSON")
+
+    payload = json.loads((out / "fr-spectre-sa-lru-summary.json").read_text(),
+                         parse_constant=refuse)
+    assert payload["recovered"] == "NONE"
+    assert payload["margin_cycles"] is None
+
+
 def _kind_choices(command: str) -> tuple:
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
