@@ -24,7 +24,8 @@ from .config import ConfigError, RunConfig
 from .core import Rng
 from .engine import SpecEngine
 from .observe import (MIN_SCORE_TRIALS, ObservationMatrix, RecoveryResult,
-                      leakage_score, noise_floor, recover_byte, recover_nibble)
+                      fold, leakage_score, noise_floor, recover_byte,
+                      recover_nibble)
 
 ATTACKER_DOMAIN = 0
 VICTIM_DOMAIN = 1
@@ -284,10 +285,6 @@ def _probe(load, probe, vec: np.ndarray, rnoise: Rng, sigma: float) -> None:
     vec[:] = acc
 
 
-def _fold(vec: np.ndarray, n_sets: int) -> np.ndarray:
-    return vec if vec.shape == (n_sets,) else vec.reshape(-1, n_sets).sum(axis=0)
-
-
 # -- AES prime-probe --
 
 def run_prime_probe_aes(config: RunConfig, key: bytes,
@@ -322,7 +319,7 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
         for addr in aes_first_round_accesses(key, block, tables):
             load(addr, VICTIM_DOMAIN)
         _probe(load, probe, vec, rnoise, sigma)
-        folded = _fold(vec, n_sets)
+        folded = fold(vec, n_sets)
         decisions = [16 * t + int(np.argmax(folded[16 * t:16 * t + TABLE_LINES]))
                      for t in range(4)]
         for j in range(KEY_BYTES):
@@ -415,7 +412,7 @@ def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
                     sender_dom)
         _probe(hier_b.load, probe, vec, rnoise, sigma)
         base_sum += vec
-    base_fold = _fold(base_sum / trials, n_sets)
+    base_fold = fold(base_sum / trials, n_sets)
 
     hier = config.build_hierarchy(root.fork("hier"))
     engine = SpecEngine(hier, config.window_capacity,
@@ -430,8 +427,8 @@ def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
             _wrong_path(engine, secret, sender_dom, enter_wrong_path)
             _probe(hier.load, probe, vec, rnoise, sigma)
             matrix.record(secret, vec,
-                          int(np.argmax(_fold(vec, n_sets) - base_fold)))
-        diff = _fold(matrix.mean_latency()[secret], n_sets) - base_fold
+                          int(np.argmax(fold(vec, n_sets) - base_fold)))
+        diff = fold(matrix.mean_latency()[secret], n_sets) - base_fold
         results.append(recover_byte(diff, "peak", config.dip_threshold_cycles))
     return root, matrix, results
 

@@ -3,9 +3,10 @@
 Each check rebuilds its state from scratch, measures against an
 independently coded reference (textbook LRU, flat memory replay,
 chi-square bound, the invalidation case rules), and reports one
-CheckResult.  The fault-injection flags wire deliberately broken model
-variants into the relevant checks so a silent weakening of the defenses
-turns the suite red instead of staying invisible.
+CheckResult.  MUTATIONS holds deliberately broken NewsCache methods;
+run_selftest puts one on the class only while the check that must
+catch it runs, so a silent weakening of the defenses turns the suite
+red instead of staying invisible.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ def bin_slot_hist(slot_hist: np.ndarray, bins: int = SLOT_BINS) -> np.ndarray:
 
 # -- replacement uniformity --
 
-def farr_victim_histogram(events: int, seed: int,
-                          deterministic_victim: bool = False) -> np.ndarray:
+def farr_victim_histogram(events: int, seed: int) -> np.ndarray:
     """Histogram of the slot each post-fill miss lands in (equal to the
     victim slot, since the freed slot is reused immediately)."""
     cfg = RunConfig(model="star-farr").validate()
     hier = cfg.build_hierarchy(Rng(seed).fork("farr-uniformity"))
-    hier.l1.deterministic_victim = deterministic_victim
     lines = cfg.l1_lines
     base = 0x100_0000
     for i in range(lines):
@@ -89,11 +88,9 @@ def _uniformity_result(name: str, hist: np.ndarray) -> CheckResult:
         f"critical={CHI2_CRIT_DOF15_P001} (p>0.001)")
 
 
-def check_farr_uniformity(quick: bool,
-                          deterministic_victim: bool = False) -> CheckResult:
+def check_farr_uniformity(quick: bool) -> CheckResult:
     events = 20_000 if quick else 100_000
-    hist = farr_victim_histogram(events, seed=101,
-                                 deterministic_victim=deterministic_victim)
+    hist = farr_victim_histogram(events, seed=101)
     return _uniformity_result("farr-replacement-uniformity", hist)
 
 
@@ -138,8 +135,7 @@ def check_cross_domain_no_hit(quick: bool) -> CheckResult:
 
 # -- speculative conflict leaves no trace --
 
-def check_spec_conflict_no_trace(quick: bool,
-                                 fill_on_spec_tagmiss: bool = False) -> CheckResult:
+def check_spec_conflict_no_trace(quick: bool) -> CheckResult:
     """A squashed speculative tag-conflict must leave the resident line
     untouched except for the design's one random eviction."""
     trials = 50 if quick else 100
@@ -150,7 +146,6 @@ def check_spec_conflict_no_trace(quick: bool,
     for t in range(trials):
         cfg = RunConfig(model="star-news").validate()
         hier = cfg.build_hierarchy(Rng(104 + t).fork("spec-trace"))
-        hier.l1.fill_on_spec_tagmiss = fill_on_spec_tagmiss
         engine = SpecEngine(hier)
         for i in range(background):
             hier.load(base + 64 * i, 0)
@@ -165,7 +160,7 @@ def check_spec_conflict_no_trace(quick: bool,
         if rec is not None:
             survived += 1
     rate = survived / trials
-    ok = rate >= 0.5 and (tagmiss_seen > 0) != fill_on_spec_tagmiss
+    ok = rate >= 0.5 and tagmiss_seen > 0
     return CheckResult(
         "speculative-conflict-no-trace", ok,
         f"conflicting line survived {survived}/{trials} squashes, "
@@ -403,26 +398,44 @@ def check_determinism(quick: bool) -> CheckResult:
                        else "repeat run diverged")
 
 
+_news_access = NewsCache.access
+
+# name -> (the check that must catch it, NewsCache method, broken
+# variant): the victim is always the first valid slot; access runs with
+# spec_bit forced to 0, so a speculative conflict fills in place
+MUTATIONS = {
+    "farr-fixed-victim": (
+        check_farr_uniformity, "_random_valid_slot",
+        lambda self: next(i for i, rec in enumerate(self._slots)
+                          if rec is not None)),
+    "news-spec-fill": (
+        check_spec_conflict_no_trace, "access",
+        lambda self, addr, domain, spec_bit, value=None:
+            _news_access(self, addr, domain, 0, value)),
+}
+
+
 def run_selftest(quick: bool = False,
                  mutate: str | None = None) -> list[CheckResult]:
-    """Run every check; mutate wires a deliberately broken variant into
-    the check that must catch it."""
-    farr_mut = mutate == "farr-fixed-victim"
-    news_mut = mutate == "news-spec-fill"
-    results = [
-        check_farr_uniformity(quick, deterministic_victim=farr_mut),
-        check_news_uniformity(quick),
-        check_cross_domain_no_hit(quick),
-        check_spec_conflict_no_trace(quick,
-                                     fill_on_spec_tagmiss=news_mut),
-        check_sfill_case_table(quick),
-        check_lru_reference(quick, traces=3 if quick else 10),
-        check_flat_memory_oracle(quick, traces=3 if quick else 10),
-        check_inclusion_replay(quick),
-        check_squash_fraction(quick),
-        check_determinism(quick),
-    ]
+    """Run every check; mutate names the MUTATIONS entry whose broken
+    method is on NewsCache while its target check runs."""
+    target, method, broken = MUTATIONS[mutate] if mutate else (None,) * 3
+    traces = 3 if quick else 10
+    results = []
+    for check in (check_farr_uniformity, check_news_uniformity,
+                  check_cross_domain_no_hit, check_spec_conflict_no_trace,
+                  check_sfill_case_table,
+                  lambda q: check_lru_reference(q, traces=traces),
+                  lambda q: check_flat_memory_oracle(q, traces=traces),
+                  check_inclusion_replay, check_squash_fraction,
+                  check_determinism):
+        if check is not target:
+            results.append(check(quick))
+            continue
+        original = vars(NewsCache)[method]
+        setattr(NewsCache, method, broken)
+        try:
+            results.append(check(quick))
+        finally:
+            setattr(NewsCache, method, original)
     return results
-
-
-MUTATIONS = ("farr-fixed-victim", "news-spec-fill")

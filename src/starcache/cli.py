@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the invariant suites")
     p.add_argument("--quick", action="store_true",
                    help="reduced trial counts")
-    p.add_argument("--mutate", choices=checks.MUTATIONS,
+    p.add_argument("--mutate", choices=tuple(checks.MUTATIONS),
                    help="inject a known defect; the suite must go red")
     _add_shared(p)
     p.set_defaults(func=cmd_selftest)

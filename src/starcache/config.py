@@ -21,6 +21,11 @@ from .models import MODEL_NAMES
 
 ENV_PREFIX = "STARCACHE_"
 
+# Rng.gauss never strays past about 8.58 sigma: u1 is at most 1 - 2**-53,
+# so the radius is at most sqrt(106 ln 2).  Under this bound a jittered
+# latency stays below 1e7 cycles, and no sum of them nears float overflow.
+MAX_NOISE_SIGMA = 1e6
+
 
 class ConfigError(ValueError):
     pass
@@ -71,6 +76,9 @@ class RunConfig:
         for name in ("dip_threshold_cycles", "noise_sigma"):
             if not 0 <= getattr(self, name) < math.inf:     # NaN fails too
                 raise ConfigError(f"{name} must be finite and non-negative")
+        if self.noise_sigma > MAX_NOISE_SIGMA:
+            raise ConfigError(
+                f"noise_sigma must be at most {MAX_NOISE_SIGMA:g} cycles")
         try:
             self.l1_geometry()
             self.l2_geometry()

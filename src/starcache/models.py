@@ -35,7 +35,9 @@ fresh bytes.  So a shared buffer is never written.
 
 Levels stack: each one's lower is the level below it.  Every model
 answers access(addr, domain, spec_bit, value=None), a store of the byte
-value exactly when a value is passed; flush_line(addr, domain,
+value exactly when a value is passed (a store is never speculative: a
+NEWS mapping conflict, which forwards a speculative load without a
+fill, raises ValueError for one); flush_line(addr, domain,
 own_domain_only), which returns the removed line or None; and
 handle_sfill_inv(addr, domain, source_level), True when the squash
 invalidation travels on, which it does only when the data came from
@@ -263,12 +265,6 @@ class NewsCache:
     fills where they always landed.
     """
 
-    # fault-injection hooks for the self test: choose slot 0 forever;
-    # treat the speculative conflict like the non-speculative one (fill
-    # anyway)
-    deterministic_victim = False
-    fill_on_spec_tagmiss = False
-
     def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
                  rng: Rng, level: int = 1):
         self.geom = geometry
@@ -346,10 +342,6 @@ class NewsCache:
         lines.  A direct draw over the valid slots would consume the
         stream differently and move every seeded output.
         """
-        if self.deterministic_victim:
-            for i, rec in enumerate(self._slots):
-                if rec is not None:
-                    return i
         while True:
             slot = self.rng.choose(self._n)
             if self._slots[slot] is not None:
@@ -376,9 +368,13 @@ class NewsCache:
         slot = self._keys.get(key)
         if slot is not None:
             # mapping hit, tag miss: a same-domain line owns this index
-            if spec_bit and not self.fill_on_spec_tagmiss:
+            if spec_bit:
                 # forward the data but leave no trace of the requested
                 # line; evict one random valid line instead
+                if value is not None:
+                    raise ValueError(
+                        f"speculative store to 0x{addr:x}: a store is never "
+                        "speculative")
                 self.tagmiss_forward_nofill += 1
                 self._evict_slot(self._random_valid_slot())
                 return self._miss[below << 2 | source]

@@ -7,6 +7,9 @@ leakage score is the plug-in mutual information of that decision
 histogram; its significance is judged against a label-shuffling noise
 floor computed from the same trials.
 
+fold charges positional columns to conventional sets on a plain
+array (one probe vector, or a matrix's lat_sum).
+
 A trial adds one decision, so a run of T trials fills at most T of the
 histogram's rows x cols cells.  The matrix therefore logs each decision
 as one int64 code and builds the dense histogram only when a decision
@@ -117,35 +120,7 @@ class ObservationMatrix:
         return self._dense_n + self._logged
 
     def mean_latency(self) -> np.ndarray:
-        out = np.zeros_like(self.lat_sum)
-        cnt = self.row_cnt[:, None]
-        np.divide(self.lat_sum, cnt, out=out, where=cnt > 0)
-        return out
-
-    def folded(self, cols: int) -> "ObservationMatrix":
-        """Group columns by position modulo `cols` (summing latencies
-        and decision counts).
-
-        This is how an attacker who assumes a conventional set layout
-        reads a positional probe: position p is charged to set p % cols.
-        """
-        if cols < 1 or self.cols % cols:
-            raise ValueError(f"{self.cols} columns do not fold into {cols}")
-        m = ObservationMatrix(self.rows, cols, self.row_label, self.col_label)
-        m.lat_sum = self.lat_sum.reshape(self.rows, -1, cols).sum(axis=1)
-        m.row_cnt = self.row_cnt.copy()
-        row, col = np.divmod(self._codes(), self.cols)
-        codes = row * cols + col % cols
-        if self._dense is None and len(codes) <= m._limit:
-            m._log = array("q", codes.tobytes())
-            m._logged = len(codes)
-        else:
-            m._dense = np.bincount(codes, minlength=self.rows * cols)
-            if self._dense is not None:
-                m._dense += self._dense.reshape(self.rows, -1, cols).sum(
-                    axis=1).ravel()
-            m._dense_n = self.trials
-        return m
+        return _row_mean(self.lat_sum, self.row_cnt)
 
     def write_csv(self, path: str, header_items=()) -> None:
         """Long-form CSV: row,col,mean_latency,trials; rows never
@@ -157,6 +132,24 @@ class ObservationMatrix:
                   ((r, c, mean[r][c], cnt[r])
                    for r in np.flatnonzero(self.row_cnt).tolist()
                    for c in range(self.cols)))
+
+
+def _row_mean(lat_sum: np.ndarray, row_cnt: np.ndarray) -> np.ndarray:
+    """Latency sums per trial, row by row; rows never recorded read 0."""
+    cnt = row_cnt[:, None]
+    return np.divide(lat_sum, cnt, out=np.zeros_like(lat_sum), where=cnt > 0)
+
+
+def fold(a: np.ndarray, cols: int) -> np.ndarray:
+    """Sum a's last axis modulo cols (a itself when already cols wide):
+    an attacker who assumes a conventional set layout charges position
+    p of a positional probe to set p % cols."""
+    width = a.shape[-1]
+    if cols < 1 or width % cols:
+        raise ValueError(f"{width} columns do not fold into {cols}")
+    if width == cols:
+        return a
+    return a.reshape(*a.shape[:-1], -1, cols).sum(axis=-2)
 
 
 def write_csv(path: str, header_items, columns, rows) -> None:
@@ -232,10 +225,6 @@ class RecoveryResult:
     nibbles: list
     shares: list
 
-    @property
-    def complete(self) -> bool:
-        return all(n is not None for n in self.nibbles)
-
     def as_text(self) -> list[str]:
         out = []
         for j, (n, s) in enumerate(zip(self.nibbles, self.shares)):
@@ -262,9 +251,8 @@ def recover_nibble(m: ObservationMatrix, mode: str, table_lo: int,
     """
     if mode not in ("dip", "peak"):
         raise ValueError("mode is 'dip' or 'peak'")
-    if fold_to is not None and m.cols != fold_to:
-        m = m.folded(fold_to)
-    mean = m.mean_latency()
+    lat = m.lat_sum if fold_to is None else fold(m.lat_sum, fold_to)
+    mean = _row_mean(lat, m.row_cnt)
     votes = np.zeros(NIBBLE_VALUES, dtype=np.int64)
     for v in range(m.rows):
         if not m.row_cnt[v]:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from starcache.attacks import (AesTables, aes_first_round_accesses,
+from starcache.attacks import (AesTables, AttackRun, aes_first_round_accesses,
                                pp_experiment_config, run_flush_reload_aes,
                                run_prime_probe_aes, run_spectre,
                                run_spectre_sweep)
 from starcache.config import ConfigError, RunConfig
+from starcache.observe import ObservationMatrix
 
 KEY_ZERO = bytes(16)
 KEY_MIXED = bytes(range(0x10, 0x10 + 16))
@@ -32,11 +33,18 @@ def test_first_round_touch_pattern():
 def test_fr_aes_recovers_high_nibbles_on_conventional():
     for key in (KEY_ZERO, KEY_MIXED):
         run = run_flush_reload_aes(_cfg("sa-lru"), key, trials=512)
-        assert run.recovery.complete
         assert run.recovery.nibbles == [b >> 4 for b in key]
     summary = run.summary()
     assert summary["attack"] == "fr-aes"
     assert summary["nibbles"] == [b >> 4 for b in KEY_MIXED]
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+def test_summary_writes_a_non_finite_margin_as_null(margin):
+    run = AttackRun("fr-spectre", "sa-lru", 1, 1, ObservationMatrix(1, 1),
+                    margin=margin)
+    assert run.summary()["margin_cycles"] is None
+    assert run.summary()["recovered"] == "NONE"
 
 
 def test_fr_aes_blind_on_hardened_models():
@@ -50,7 +58,7 @@ def test_fr_aes_survives_measurement_noise():
     # noise breaks single-trial ties, so rows need a few trials each
     run = run_flush_reload_aes(_cfg("sa-lru", noise_sigma=1.0), KEY_ZERO,
                                trials=768)
-    assert run.recovery.complete
+    assert None not in run.recovery.nibbles
 
 
 def test_pp_aes_recovers_on_conventional_only():

@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
+from starcache import checks
 from starcache.checks import (CHI2_CRIT_DOF15_P001, LruReference, MUTATIONS,
-                              bin_slot_hist, check_farr_uniformity,
-                              check_spec_conflict_no_trace, chi_square_uniform,
+                              bin_slot_hist, chi_square_uniform,
                               flat_replay_reference, run_selftest,
                               sfill_case_rows)
+from starcache.models import NewsCache
 
 
 def test_chi_square_statistic():
@@ -65,7 +67,24 @@ def test_quick_selftest_all_green():
 
 
 def test_mutations_are_caught():
-    assert MUTATIONS == ("farr-fixed-victim", "news-spec-fill")
-    assert check_farr_uniformity(True, deterministic_victim=True).ok is False
-    assert check_spec_conflict_no_trace(True, fill_on_spec_tagmiss=True).ok \
-        is False
+    # test_cli checks that each failure names the mutant's target
+    assert tuple(MUTATIONS) == ("farr-fixed-victim", "news-spec-fill")
+    for name, (_, method, _) in MUTATIONS.items():
+        original = vars(NewsCache)[method]
+        results = run_selftest(quick=True, mutate=name)
+        assert sum(not r.ok for r in results) == 1
+        assert vars(NewsCache)[method] is original
+
+
+def test_a_mutant_is_removed_when_its_check_raises(monkeypatch):
+    def boom(quick):
+        assert NewsCache._random_valid_slot is broken
+        raise RuntimeError("check crashed")
+
+    _, method, broken = MUTATIONS["farr-fixed-victim"]
+    original = vars(NewsCache)[method]
+    monkeypatch.setattr(checks, "check_farr_uniformity", boom)
+    monkeypatch.setitem(MUTATIONS, "farr-fixed-victim", (boom, method, broken))
+    with pytest.raises(RuntimeError, match="check crashed"):
+        run_selftest(quick=True, mutate="farr-fixed-victim")
+    assert vars(NewsCache)[method] is original

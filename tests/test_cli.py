@@ -5,7 +5,8 @@ import os
 import pytest
 
 from starcache import attacks
-from starcache.cli import build_parser, main
+from starcache.checks import MUTATIONS
+from starcache.cli import _write_json, build_parser, main
 from starcache.config import RunConfig
 
 
@@ -62,21 +63,22 @@ def test_attack_rejects_nan_threshold_flags(tmp_path, capsys, flag):
     assert "must be finite" in capsys.readouterr().err
 
 
-def test_attack_abstains_on_a_nan_margin(tmp_path, capsys):
-    # noise this wide overflows the latencies, so the margin is NaN
+def test_attack_rejects_a_noise_sigma_that_would_overflow(tmp_path, capsys):
+    # 1e308 cycles of jitter would overflow the latencies to +-inf
     out = tmp_path / "o"
     rc = main(["attack", "fr-spectre", "--trials", "1",
                "--noise-sigma", "1e308", "--out", str(out)])
-    assert rc == 0
-    assert "recovered: NONE" in capsys.readouterr().out
+    assert rc == 2
+    assert "noise_sigma must be at most 1e+06" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["attack", "fr-spectre", "--trials", "1",
+                 "--noise-sigma", "1e6", "--out", str(out)]) == 0
 
-    def refuse(constant):
-        raise ValueError(f"summary holds {constant}, which is not JSON")
 
-    payload = json.loads((out / "fr-spectre-sa-lru-summary.json").read_text(),
-                         parse_constant=refuse)
-    assert payload["recovered"] == "NONE"
-    assert payload["margin_cycles"] is None
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_refuses_a_non_finite_value(tmp_path, value):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _write_json(str(tmp_path / "s.json"), {"margin_cycles": value})
 
 
 def _kind_choices(command: str) -> tuple:
@@ -332,3 +334,24 @@ def test_replay_synth_rejects_out_of_range_input(tmp_path, capsys, profile,
     err = capsys.readouterr().err
     assert err.startswith("starcache: error:") and what in err
     assert not out.exists()
+
+
+def test_selftest_quick_passes(capsys):
+    assert main(["selftest", "--quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "10/10 checks passed"
+    assert not [ln for ln in lines if "FAIL" in ln]
+
+
+# mutation -> the one check that must fail under it
+MUTATION_TARGETS = {"farr-fixed-victim": "farr-replacement-uniformity",
+                    "news-spec-fill": "speculative-conflict-no-trace"}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_selftest_mutation_fails_only_its_target(capsys, name):
+    assert main(["selftest", "--quick", "--mutate", name]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    (failed,) = [ln for ln in lines if "FAIL" in ln]
+    assert failed.startswith(f"[ FAIL] {MUTATION_TARGETS[name]}: ")
+    assert lines[-1] == "9/10 checks passed"

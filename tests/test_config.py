@@ -96,6 +96,7 @@ def test_missing_config_file():
     ({"dip_threshold_cycles": float("inf")}, "dip_threshold_cycles"),
     ({"dip_threshold_cycles": float("-inf")}, "dip_threshold_cycles"),
     ({"seed": 1 << 64}, "below 2**64"),
+    ({"noise_sigma": 1e308}, "noise_sigma must be at most 1e+06"),
 ])
 def test_validation_rejections(kw, fragment):
     with pytest.raises(ConfigError) as info:

@@ -458,3 +458,21 @@ def test_write_back_leaves_another_domains_clean_copy_alone(model):
     assert h.l2.find(a).data[4:6] == bytes([0x99, 0x77])
     assert h.memory.read_line(a)[4:6] == bytes([0x99, 0x77])
     assert h.l1.find(a, 1).data == bytes(64)
+
+
+@pytest.mark.parametrize("wrong_path", [False, True])
+@pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
+def test_l2_is_a_conventional_lru_that_a_squashed_load_can_perturb(
+        model, wrong_path):
+    # The STAR rules cover L1 state and squash invalidation only.  A
+    # squashed load's L2 fill still evicts the L2 set's LRU line, and
+    # inclusion recalls that line from another domain's L1.
+    h = _hier(model, l1_lines=16, l1_assoc=2, l2_lines=64, l2_assoc=2)
+    engine = SpecEngine(h)
+    h.load(0x0, 1)
+    h.load(0x800, 1)                   # the L2 set of 0x0 is now full
+    if wrong_path:
+        barrier = engine.issue_barrier()
+        engine.issue_load(0x1000, 0)   # the same L2 set
+        engine.squash_from(barrier.id)
+    assert h.load(0x0, 1).source_level == (3 if wrong_path else 1)

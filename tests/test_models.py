@@ -216,16 +216,6 @@ def test_farr_random_victims_spread():
     assert len(victims) > 20     # not stuck on one slot
 
 
-def test_farr_deterministic_victim_hook():
-    c = _farr(lines=4)
-    c.deterministic_victim = True
-    for i in range(4):
-        c.access(0x1000 + 64 * i, 0, 0)
-    c.access(0x2000, 0, 0)
-    assert c.find(0x1000, 0) is None      # always the first valid slot
-    assert _bases(c) == {0x1040, 0x1080, 0x10C0, 0x2000}
-
-
 def test_farr_spec_bit_rules():
     c = _farr()
     c.access(0x3000, 0, 1)
@@ -295,17 +285,14 @@ def test_news_spec_conflict_forwards_without_fill():
     assert _bases(c) == set()
 
 
-def test_news_fill_on_spec_tagmiss_hook():
+def test_news_rejects_a_speculative_store_on_a_mapping_conflict():
     c = _news(lines=8, k=2)
-    c.fill_on_spec_tagmiss = True
-    conflict_bit = c.geom.offset_bits + c.geom.index_bits
-    a = 0x1000
-    b = a ^ (1 << conflict_bit)
-    c.access(a, 0, 0)
-    out = c.access(b, 0, 1)
-    assert out.source_level == 3
+    c.access(0x1000, 0, 0)
+    with pytest.raises(ValueError, match="store is never speculative"):
+        c.access(0x2003, 0, 1, 9)        # same index field, another tag
+    assert c.find(0x1000, 0) is not None  # no random eviction ran
+    assert c.find(0x2000, 0) is None
     assert c.tagmiss_forward_nofill == 0
-    assert c.find(b, 0) is not None
 
 
 def test_news_spec_mapping_miss_fills():

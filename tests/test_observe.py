@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from starcache.observe import (ObservationMatrix, extreme_with_margin,
+from starcache.observe import (ObservationMatrix, extreme_with_margin, fold,
                                leakage_score, mi_bits, noise_floor,
                                recover_byte, recover_nibble)
 
@@ -147,8 +147,8 @@ def test_decision_storage_stays_within_one_and_a_half_histograms():
     (lambda m: m.record(3, [0.0] * 4), "got 3"),
     (lambda m: m.record(0, [0.0] * 4, decision=-1), "got -1"),
     (lambda m: m.record(0, [0.0] * 4, decision=4), "got 4"),
-    (lambda m: m.folded(0), "into 0"),
-    (lambda m: m.folded(-2), "into -2"),
+    (lambda m: fold(m.lat_sum, 0), "into 0"),
+    (lambda m: fold(m.lat_sum, -2), "into -2"),
 ], ids=["row-negative", "row-past-end", "decision-negative",
         "decision-past-end", "fold-zero", "fold-negative"])
 def test_matrix_rejects_out_of_range_input(call, fragment):
@@ -159,50 +159,15 @@ def test_matrix_rejects_out_of_range_input(call, fragment):
 
 
 def test_folding_groups_positions_mod_cols():
-    m = ObservationMatrix(1, 8)
-    m.record(0, [0, 1, 2, 3, 10, 11, 12, 13], decision=1)
-    f = m.folded(4)
-    assert f.cols == 4
-    assert np.allclose(f.lat_sum[0], [10, 12, 14, 16])
-    assert f.dec_cnt[0, 1] == 1
-    with pytest.raises(ValueError):
-        m.folded(3)
-
-
-def test_folding_keeps_decisions_past_the_folded_width():
-    m = ObservationMatrix(1, 8)
-    m.record(0, [0.0] * 8, 5)
-    f = m.folded(4)
-    assert f.trials == 1
-    assert f.dec_cnt.tolist() == [[0, 1, 0, 0]]
-
-
-def test_folding_matches_a_dense_reference_after_the_log_folds():
-    m = ObservationMatrix(4, 8)
-    ref = np.zeros((4, 8), dtype=np.int64)
-    for t in range(100):                  # past the 16-code log limit
-        m.record(t % 4, [0.0] * 8, (3 * t) % 8)
-        ref[t % 4, (3 * t) % 8] += 1
-    for cols in (1, 2, 4, 8):
-        f = m.folded(cols)
-        expect = ref.reshape(4, -1, cols).sum(axis=1)
-        assert f.dec_cnt.tobytes() == expect.tobytes()
-        assert f.trials == 100
-        f.record(1, [0.0] * cols, cols - 1)      # the fold keeps counting
-        expect[1, cols - 1] += 1
-        assert np.array_equal(f.dec_cnt, expect) and f.trials == 101
-
-
-def test_folding_keeps_the_row_counts():
-    m = ObservationMatrix(3, 8)
-    for row in (0, 2, 2):
-        m.record(row, [1.0] * 8)
-    f = m.folded(4)
-    assert f.row_cnt.tolist() == [1, 0, 2]
-    assert np.array_equal(f.lat_cnt, np.repeat([[1], [0], [2]], 4, axis=1))
-    assert np.allclose(f.mean_latency()[2], [2.0] * 4)
-    f.row_cnt[0] += 1                     # a copy, not a shared view
-    assert m.row_cnt[0] == 1
+    m = ObservationMatrix(2, 8)
+    m.record(0, [0, 1, 2, 3, 10, 11, 12, 13])
+    f = fold(m.lat_sum, 4)
+    assert f.shape == (2, 4)
+    assert np.allclose(f[0], [10, 12, 14, 16]) and not f[1].any()
+    assert np.allclose(fold(m.lat_sum[0], 4), [10, 12, 14, 16])
+    assert fold(m.lat_sum, 8) is m.lat_sum       # already that wide
+    with pytest.raises(ValueError, match="8 columns do not fold into 3"):
+        fold(m.lat_sum, 3)
 
 
 def test_csv_layout(tmp_path):
@@ -315,6 +280,13 @@ def test_extreme_with_margin_hand_values():
     assert (c, margin) == (1, 9.0)
     c, margin = extreme_with_margin(np.array([1.0, 9.0, 1.0]), "peak")
     assert (c, margin) == (1, 8.0)
+
+
+def test_recover_byte_abstains_on_a_nan_margin():
+    values = np.full(8, 100.0)
+    values[3] = math.nan
+    got, margin = recover_byte(values, "dip", threshold=0.0)
+    assert got is None and math.isnan(margin)
 
 
 def test_recover_byte_threshold_gate():
