@@ -39,8 +39,8 @@ def chi_square_uniform(hist: np.ndarray) -> float:
     return float(((hist - expected) ** 2 / expected).sum())
 
 
-def bin_slot_hist(slot_hist: np.ndarray, bins: int = SLOT_BINS) -> np.ndarray:
-    return slot_hist.reshape(bins, -1).sum(axis=1)
+def bin_slot_hist(slot_hist: np.ndarray) -> np.ndarray:
+    return slot_hist.reshape(SLOT_BINS, -1).sum(axis=1)
 
 
 # -- replacement uniformity --
@@ -270,16 +270,15 @@ class LruReference:
         return False
 
 
-def check_lru_reference(quick: bool, traces: int = 10,
-                        seed: int = 106) -> CheckResult:
+def check_lru_reference(quick: bool, traces: int = 10) -> CheckResult:
     events = 20_000 if quick else 100_000
     cfg = RunConfig(model="sa-lru").validate()
     footprint = 2048
     for t in range(traces):
-        hier = cfg.build_hierarchy(Rng(seed + t).fork("lru-oracle"))
+        hier = cfg.build_hierarchy(Rng(106 + t).fork("lru-oracle"))
         ref = LruReference(cfg.l1_lines // cfg.l1_assoc, cfg.l1_assoc,
                            cfg.line_size)
-        rng = Rng(seed * 1000 + t)
+        rng = Rng(106_000 + t)
         for i in range(events):
             addr = 0x500_0000 + 64 * rng.choose(footprint)
             got = hier.load(addr, 0).source_level == 1
@@ -313,11 +312,10 @@ def flat_replay_reference(events: list[tuple[str, int]],
     return {b: bytes(d) for b, d in mem.items() if any(d)}
 
 
-def check_flat_memory_oracle(quick: bool, traces: int = 10,
-                             seed: int = 107) -> CheckResult:
+def check_flat_memory_oracle(quick: bool, traces: int = 10) -> CheckResult:
     events_per = 2_000 if quick else 5_000
     for t in range(traces):
-        rng = Rng(seed * 1000 + t)
+        rng = Rng(107_000 + t)
         events: list[tuple[str, int]] = []
         for _ in range(events_per):
             op = "S" if rng.chance(0.4) else "L"
@@ -327,7 +325,7 @@ def check_flat_memory_oracle(quick: bool, traces: int = 10,
             # tiny caches so dirty evictions and back-invalidations flow
             cfg = RunConfig(model=model, l1_lines=16, l1_assoc=2,
                             l2_lines=64, l2_assoc=4).validate()
-            hier = cfg.build_hierarchy(Rng(seed + t).fork(f"flat-{model}"))
+            hier = cfg.build_hierarchy(Rng(107 + t).fork(f"flat-{model}"))
             for op, addr in events:
                 if op == "S":
                     hier.store(addr, 0)

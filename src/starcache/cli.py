@@ -25,36 +25,35 @@ from .observe import write_csv
 from .trace import (PROFILES, ReplayStats, TraceParseError, parse_trace,
                     replay, synth_trace)
 
-_CONFIG_FLAGS = ("model", "k", "seed", "trials", "l1_hit_cycles",
-                 "l2_hit_cycles", "memory_cycles", "noise_sigma",
-                 "dip_threshold_cycles", "vote_threshold")
+_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _add_config(p: argparse.ArgumentParser, harness: bool) -> None:
+    """The RunConfig flags of one subcommand, each with its field name
+    as dest; harness adds those only the attack harnesses read."""
     p.add_argument("--config", metavar="FILE",
                    help="flat key = value config file")
     p.add_argument("--model", choices=MODEL_NAMES)
     p.add_argument("--k", type=int, metavar="BITS",
                    help="extra index bits (star-news only)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out", metavar="DIR", help="output directory")
+    p.add_argument("--out", dest="out_dir", metavar="DIR",
+                   help="output directory")
     p.add_argument("--l1-hit-cycles", type=int, metavar="N")
     p.add_argument("--l2-hit-cycles", type=int, metavar="N")
     p.add_argument("--memory-cycles", type=int, metavar="N")
-    p.add_argument("--noise-sigma", type=float, metavar="CYCLES",
-                   help="gaussian jitter added to measured latencies")
-    p.add_argument("--dip-threshold-cycles", type=float, metavar="CYCLES")
-    p.add_argument("--vote-threshold", type=float, metavar="FRAC")
     p.add_argument("--debug-checks", action="store_true", default=None,
                    help="run structural invariant checks after every access")
+    if harness:
+        p.add_argument("--trials", type=int)
+        p.add_argument("--noise-sigma", type=float, metavar="CYCLES",
+                       help="gaussian jitter added to measured latencies")
+        p.add_argument("--dip-threshold-cycles", type=float,
+                       metavar="CYCLES")
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    overrides: dict[str, object] = {
-        name: getattr(args, name) for name in _CONFIG_FLAGS}
-    overrides["out_dir"] = args.out
-    overrides["debug_checks"] = args.debug_checks
+    overrides = {k: v for k, v in vars(args).items() if k in _FIELDS}
     return load_config(args.config, os.environ, overrides)
 
 
@@ -231,13 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="put the spectre attacker in a different domain")
     p.add_argument("--skip-wrong-path", action="store_true",
                    help="model a correctly predicted branch (no misspeculation)")
-    _add_shared(p)
+    p.add_argument("--vote-threshold", type=float, metavar="FRAC")
+    _add_config(p, harness=True)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("sweep", help="run a spectre harness over all secrets")
     p.add_argument("kind", choices=tuple(attacks.SPECTRE))
     p.add_argument("--cross-domain", action="store_true")
-    _add_shared(p)
+    _add_config(p, harness=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("replay", help="drive a hierarchy from a trace")
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domains", type=int, default=1, metavar="N")
     p.add_argument("--sweep-k", metavar="LIST",
                    help="comma-separated k values, one replay each")
-    _add_shared(p)
+    _add_config(p, harness=False)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("selftest", help="run the invariant suites")
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reduced trial counts")
     p.add_argument("--mutate", choices=tuple(checks.MUTATIONS),
                    help="inject a known defect; the suite must go red")
-    _add_shared(p)
     p.set_defaults(func=cmd_selftest)
     return parser
 

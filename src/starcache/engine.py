@@ -55,9 +55,6 @@ class SquashReport:
     sfill_inv_sent: int = 0
     skipped_l1hit: int = 0
 
-    def check(self) -> None:
-        assert self.loads_squashed == self.sfill_inv_sent + self.skipped_l1hit
-
 
 class WindowFullError(RuntimeError):
     pass
@@ -188,5 +185,4 @@ class SpecEngine:
                 sent.append((entry.addr, entry.domain, entry.source_level))
         report.sfill_inv_sent = len(sent)
         self.hier.squash(sent)
-        report.check()
         return report

@@ -178,6 +178,7 @@ def mi_bits(counts: np.ndarray) -> float:
 
 
 MIN_SCORE_TRIALS = 1 << 10
+NOISE_PERMUTATIONS = 100
 
 
 def leakage_score(m: ObservationMatrix) -> float:
@@ -189,9 +190,8 @@ def leakage_score(m: ObservationMatrix) -> float:
     return mi_bits(m.dec_cnt)
 
 
-def noise_floor(m: ObservationMatrix, permutations: int = 100,
-                seed: int = 0x5EED) -> float:
-    """Largest score obtainable with the row labels shuffled.
+def noise_floor(m: ObservationMatrix, seed: int = 0x5EED) -> float:
+    """Largest score over NOISE_PERMUTATIONS shufflings of the row labels.
 
     Shuffling breaks any real row/decision association while keeping
     both marginals, so the returned maximum tracks the small-sample
@@ -199,7 +199,7 @@ def noise_floor(m: ObservationMatrix, permutations: int = 100,
     """
     counts = m.dec_cnt
     n = int(counts.sum())
-    if n == 0 or permutations < 1:
+    if n == 0:
         return 0.0
     rows_idx, cols_idx = np.nonzero(counts)
     reps = counts[rows_idx, cols_idx]
@@ -208,7 +208,7 @@ def noise_floor(m: ObservationMatrix, permutations: int = 100,
     gen = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
     ncols = m.cols
-    for _ in range(permutations):
+    for _ in range(NOISE_PERMUTATIONS):
         shuffled = gen.permutation(rows_flat)
         table = np.bincount(shuffled * ncols + cols_flat,
                             minlength=m.rows * ncols)

@@ -1,9 +1,13 @@
+import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import starcache
 from starcache import attacks
 from starcache.checks import MUTATIONS
 from starcache.cli import _write_json, build_parser, main
@@ -81,10 +85,14 @@ def test_write_json_refuses_a_non_finite_value(tmp_path, value):
         _write_json(str(tmp_path / "s.json"), {"margin_cycles": value})
 
 
-def _kind_choices(command: str) -> tuple:
+def _subparser(command: str):
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
-    kind = next(a for a in sub.choices[command]._actions if a.dest == "kind")
+    return sub.choices[command]
+
+
+def _kind_choices(command: str) -> tuple:
+    kind = next(a for a in _subparser(command)._actions if a.dest == "kind")
     return tuple(kind.choices)
 
 
@@ -130,7 +138,11 @@ def test_attack_rejects_seed_beyond_64_bits(tmp_path, capsys):
     ("pp-spectre", {"STARCACHE_L1_LINES": "256"},
      "needs at least 256 L1 sets"),
     ("fr-spectre", {"STARCACHE_LINE_SIZE": "128"}, "64-byte lines"),
-], ids=["pp-aes-sets", "pp-spectre-sets", "line-size"])
+    # 2**37 sets would exhaust memory before the harness ever ran
+    ("fr-spectre", {"STARCACHE_L2_LINES": str(1 << 40)},
+     "l2_lines must be at most 1048576"),
+], ids=["pp-aes-sets", "pp-spectre-sets", "line-size",
+        "l2-lines-unbuildable"])
 def test_attack_rejects_geometry_the_harness_cannot_decode(
         tmp_path, capsys, monkeypatch, kind, env, fragment):
     for name, value in env.items():
@@ -285,10 +297,13 @@ def test_replay_ksweep_guards(tmp_path, capsys):
 
 def test_env_layer_reaches_the_run(tmp_path, monkeypatch):
     monkeypatch.setenv("STARCACHE_SEED", "77")
+    # replay takes no --trials; the file and env layers still set it
+    monkeypatch.setenv("STARCACHE_TRIALS", "7")
     out = tmp_path / "o"
     main(["replay", "--synth", "uniform-random", "--events", "500",
           "--out", str(out)])
-    assert "# seed=77" in (out / "replay-sa-lru.csv").read_text()
+    header = (out / "replay-sa-lru.csv").read_text().splitlines()
+    assert "# seed=77" in header and "# trials=7" in header
 
 
 def test_repeat_invocation_is_byte_identical(tmp_path):
@@ -355,3 +370,57 @@ def test_selftest_mutation_fails_only_its_target(capsys, name):
     (failed,) = [ln for ln in lines if "FAIL" in ln]
     assert failed.startswith(f"[ FAIL] {MUTATION_TARGETS[name]}: ")
     assert lines[-1] == "9/10 checks passed"
+
+
+# every settable value of each subcommand: its options and positionals
+CONFIG_OPTIONS = {"--config", "--model", "--k", "--seed", "--out",
+                  "--l1-hit-cycles", "--l2-hit-cycles", "--memory-cycles",
+                  "--debug-checks"}
+HARNESS_OPTIONS = CONFIG_OPTIONS | {"--trials", "--noise-sigma",
+                                    "--dip-threshold-cycles"}
+SETTINGS = {
+    "attack": HARNESS_OPTIONS | {"kind", "--key", "--secret",
+                                 "--cross-domain", "--skip-wrong-path",
+                                 "--vote-threshold"},
+    "sweep": HARNESS_OPTIONS | {"kind", "--cross-domain"},
+    "replay": CONFIG_OPTIONS | {"trace", "--synth", "--events", "--p-squash",
+                                "--store-fraction", "--footprint",
+                                "--domains", "--sweep-k"},
+    "selftest": {"--quick", "--mutate"},
+}
+
+
+@pytest.mark.parametrize("command,count", [
+    ("attack", 18), ("sweep", 14), ("replay", 17), ("selftest", 2)])
+def test_each_subcommand_takes_only_the_settings_it_reads(command, count):
+    actions = [a for a in _subparser(command)._actions if a.dest != "help"]
+    names = {a.option_strings[0] if a.option_strings else a.dest
+             for a in actions}
+    assert names == SETTINGS[command] and len(actions) == count
+    # a config flag's dest is the RunConfig field it sets
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    dests = {a.dest for a in actions
+             if set(a.option_strings) & HARNESS_OPTIONS}
+    assert dests - {"config"} <= fields
+
+
+def test_selftest_rejects_a_config_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["selftest", "--quick", "--config", "x"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
+
+
+def _run_module(*argv):
+    src = os.path.dirname(os.path.dirname(starcache.__file__))
+    return subprocess.run([sys.executable, "-m", "starcache.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_module_entry_point_as_the_readme_runs_it():
+    done = _run_module("attack", "--help")
+    assert done.returncode == 0 and "--vote-threshold" in done.stdout
+    done = _run_module("selftest", "--seed", "5")
+    assert done.returncode == 2
+    assert "unrecognized arguments: --seed 5" in done.stderr

@@ -97,6 +97,12 @@ def test_missing_config_file():
     ({"dip_threshold_cycles": float("-inf")}, "dip_threshold_cycles"),
     ({"seed": 1 << 64}, "below 2**64"),
     ({"noise_sigma": 1e308}, "noise_sigma must be at most 1e+06"),
+    # geometries that pass the 48-bit field check but no process can build
+    ({"l2_lines": 1 << 40}, "l2_lines must be at most 1048576"),
+    ({"l1_lines": 1 << 21, "l2_lines": 1 << 21},
+     "l1_lines must be at most 1048576"),
+    ({"line_size": 1 << 30, "l1_lines": 2, "l1_assoc": 2, "l2_lines": 2,
+      "l2_assoc": 2}, "line_size must be at most 4096"),
 ])
 def test_validation_rejections(kw, fragment):
     with pytest.raises(ConfigError) as info:
