@@ -21,9 +21,8 @@ from .checks import run_selftest, CheckResult
 from .config import ConfigError, RunConfig, load_config
 from .core import CacheGeometry, FlatMemory, Rng
 from .engine import SpecEngine, SquashReport
-from .hierarchy import Hierarchy
-from .models import (AccessOutcome, FarrCache, NewsCache, SetAssocLru,
-                     MODEL_NAMES)
+from .hierarchy import AccessOutcome, Hierarchy
+from .models import FarrCache, NewsCache, SetAssocLru, MODEL_NAMES
 from .observe import (ObservationMatrix, RecoveryResult, leakage_score,
                       mi_bits, noise_floor, recover_byte, recover_nibble)
 from .trace import (ReplayStats, TraceEvent, TraceParseError, parse_trace,

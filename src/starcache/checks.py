@@ -174,10 +174,10 @@ def _standalone_cache(kind: str, level: int):
     rng = Rng(105).fork(f"case-table-{kind}-{level}")
     memory = FlatMemory(64)
     if kind == "star-farr":
-        return FarrCache(geom, 1, memory, rng, level=level)
+        return FarrCache(geom, memory, rng, level=level)
     if kind == "star-news":
-        return NewsCache(geom, 1, memory, rng, level=level)
-    return SetAssocLru(geom, 1, memory, secure_inval=True, level=level)
+        return NewsCache(geom, memory, rng, level=level)
+    return SetAssocLru(geom, memory, level=level)
 
 
 SFILL_STATES = ("found-nonspec", "found-spec", "absent")
@@ -221,17 +221,17 @@ def sfill_case_rows() -> list[dict]:
                                and resident is expect_resident
                                and cache.inval_dropped_case_i == expect_counter),
                     })
-    # the conventional cache ignores the message entirely
+    # the baseline hierarchy counts the message and delivers none of it
     for state in ("found-nonspec", "found-spec"):
-        geom = CacheGeometry(64, 64, 4)
-        cache = SetAssocLru(geom, 1, FlatMemory(64), secure_inval=False,
-                            level=1)
-        cache.access(addr, 0, 1 if state == "found-spec" else 0)
-        propagates = cache.handle_sfill_inv(addr, 0, 3)
+        hier = RunConfig(model="sa-lru").validate().build_hierarchy(
+            Rng(105).fork("case-table-sa-lru"))
+        hier.load(addr, 0, 1 if state == "found-spec" else 0)
+        propagates = hier.sfill_inv(addr, 0, 3)
+        resident = hier.l1.find(addr, 0) is not None
         rows.append({
             "cache": "sa-lru", "level": 1, "state": state, "source_level": 3,
-            "propagates": propagates, "resident": cache.find(addr, 0) is not None,
-            "ok": propagates is False and cache.find(addr, 0) is not None,
+            "propagates": propagates, "resident": resident,
+            "ok": propagates is False and resident and hier.sfill_inv_sent == 1,
         })
     return rows
 

@@ -4,7 +4,8 @@ Addresses are 48-bit byte addresses.  A cache geometry splits them into
 (tag, index, offset) where the index is log2(line_count) bits wide plus
 an optional number of extra bits used by the randomized-mapping model.
 All randomness in the simulator flows through Rng so that a run is a
-pure function of its seed.
+pure function of its seed.  FlatMemory is the bottom level of every
+hierarchy; like the cache levels it keeps no latency.
 """
 
 from __future__ import annotations
@@ -191,16 +192,15 @@ class FlatMemory:
     equals one taken after.
 
     It is the bottom level of a hierarchy: fetch serves the level above
-    a line as source level 3 after cycles, and writeback stores one.
+    a line as source level 3, and writeback stores one.
     """
 
-    __slots__ = ("line_size", "cycles", "_line_mask", "_lines", "_zero")
+    __slots__ = ("line_size", "_line_mask", "_lines", "_zero")
 
-    def __init__(self, line_size: int = 64, cycles: int = 100):
+    def __init__(self, line_size: int = 64):
         if not _is_pow2(line_size):
             raise ValueError("line_size must be a power of two")
         self.line_size = line_size
-        self.cycles = cycles
         self._line_mask = ~(line_size - 1)
         self._lines: dict[int, bytes] = {}
         self._zero = bytes(line_size)
@@ -219,7 +219,7 @@ class FlatMemory:
         self._lines[addr & self._line_mask] = bytes(data)
 
     def fetch(self, addr: int, domain: int, spec_bit: int):
-        return self.read_line(addr), 3, self.cycles
+        return self.read_line(addr), 3
 
     def writeback(self, base: int, domain: int, data) -> None:
         self.write_line(base, data)

@@ -46,14 +46,10 @@ class WindowEntry:
 
 @dataclass(slots=True)
 class SquashReport:
-    """Disposition of every load discarded by one squash.
-
-    loads_squashed always equals the sum of the two outcome counts; a
-    squashed load has always executed, because loads execute at issue.
-    """
+    """What one squash discarded: loads_squashed counts its loads, all
+    executed, because loads execute at issue.  The invalidations sent
+    are counted by the hierarchy (sfill_inv_sent)."""
     loads_squashed: int = 0
-    sfill_inv_sent: int = 0
-    skipped_l1hit: int = 0
 
 
 class WindowFullError(RuntimeError):
@@ -179,10 +175,7 @@ class SpecEngine:
                 continue
             report.loads_squashed += 1
             self.loads_squashed += 1
-            if entry.source_level == 1:
-                report.skipped_l1hit += 1
-            else:
+            if entry.source_level != 1:
                 sent.append((entry.addr, entry.domain, entry.source_level))
-        report.sfill_inv_sent = len(sent)
         self.hier.squash(sent)
         return report

@@ -3,10 +3,11 @@
 L1 is one of the three cache models; L2 is always a conventional
 set-associative LRU cache.  The levels stack directly: L1's lower is
 L2 and L2's lower is the flat memory, so a miss fetches through the
-level below and an eviction writes back into it.  Latency is additive
-along the path that served an access: an L1 hit costs l1_hit_cycles,
-an L2 hit adds l2_hit_cycles, a memory fetch adds memory_cycles on top
-of both.
+level below and an eviction writes back into it.  A level reports only
+which level supplied an access's data; the hierarchy owns the latency
+ladder, additive along that path: an L1 hit costs l1_hit_cycles, an L2
+hit adds l2_hit_cycles, a memory fetch adds memory_cycles on top of
+both.
 
 Inclusion is by address: any address valid in L1 is also valid in L2
 (the forward-without-fill outcome leaves lines that exist only in L2,
@@ -14,7 +15,8 @@ which inclusion permits).  An L2 eviction recalls every L1 copy of that
 address.  Squash-time invalidation requests travel strictly downward
 and produce no response; level n forwards one to level n+1 only when
 the squashed load's data came from below level n.  A squash reaches L2
-only after it has reached every L1 copy the window made.
+only after it has reached every L1 copy the window made.  The baseline
+has no squash-time invalidation: it counts each request and drops it.
 
 The hardened models keep one L1 copy per domain, and those copies are
 not kept coherent with each other.  Two domains storing to one line is
@@ -36,8 +38,19 @@ payload rather than writing into the one it holds.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .core import CacheGeometry, FlatMemory, Rng
-from .models import AccessOutcome, FarrCache, NewsCache, SetAssocLru
+from .models import FarrCache, NewsCache, SetAssocLru
+
+
+class AccessOutcome(NamedTuple):
+    """Result of one load or store: its cycles and the level that
+    supplied the data (1 for L1, 2 for L2, 3 for memory).  Immutable, so
+    a hierarchy shares one outcome among the accesses of each level."""
+
+    latency: int
+    source_level: int
 
 
 class Hierarchy:
@@ -54,22 +67,26 @@ class Hierarchy:
                 raise ValueError(f"{name} must be at least 1, got {lat}")
         if l1_geometry.line_size != l2_geometry.line_size:
             raise ValueError("levels must share one line size")
-        # the hardened models flush only the caller's own copies
+        # the hardened models flush only the caller's own copies, and
+        # only they invalidate squashed fills
         self._own_only = model != "sa-lru"
         self.debug_checks = debug_checks
-        self.memory = FlatMemory(l1_geometry.line_size, memory_cycles)
+        self.memory = FlatMemory(l1_geometry.line_size)
         self._line_mask = ~(l1_geometry.line_size - 1)
+        # outcome[source level]; index 0 is never a source
+        l2_cycles = l1_hit_cycles + l2_hit_cycles
+        self._outcome = (None, AccessOutcome(l1_hit_cycles, 1),
+                         AccessOutcome(l2_cycles, 2),
+                         AccessOutcome(l2_cycles + memory_cycles, 3))
 
-        l2 = self.l2 = SetAssocLru(l2_geometry, l2_hit_cycles, self.memory,
-                                   secure_inval=self._own_only, level=2)
+        l2 = self.l2 = SetAssocLru(l2_geometry, self.memory, level=2)
         l2.on_evict = self._back_invalidate
         if model == "sa-lru":
-            self.l1 = SetAssocLru(l1_geometry, l1_hit_cycles, l2,
-                                  secure_inval=False, level=1)
+            self.l1 = SetAssocLru(l1_geometry, l2)
         elif model == "star-farr":
-            self.l1 = FarrCache(l1_geometry, l1_hit_cycles, l2, rng)
+            self.l1 = FarrCache(l1_geometry, l2, rng)
         elif model == "star-news":
-            self.l1 = NewsCache(l1_geometry, l1_hit_cycles, l2, rng)
+            self.l1 = NewsCache(l1_geometry, l2, rng)
         else:
             raise ValueError(f"unknown model {model!r}")
 
@@ -89,14 +106,13 @@ class Hierarchy:
 
     @property
     def tagmiss_forward_nofill(self) -> int:
-        return getattr(self.l1, "tagmiss_forward_nofill", 0)
+        return self.l1.tagmiss_forward_nofill
 
     # -- the architectural operations --
     def load(self, addr: int, domain: int, spec_bit: int = 0) -> AccessOutcome:
         self.loads += 1
         # looked up per call: a tracer may wrap the instance's access
-        out = self.l1.access(addr, domain, spec_bit)
-        source = out.source_level
+        source = self.l1.access(addr, domain, spec_bit)
         if source == 1:
             self.l1_hits += 1
         elif source == 2:
@@ -105,7 +121,7 @@ class Hierarchy:
             self.l1_miss_mem += 1
         if self.debug_checks:
             self.check_invariants()
-        return out
+        return self._outcome[source]
 
     def store(self, addr: int, domain: int,
               value: int | None = None) -> AccessOutcome:
@@ -118,10 +134,10 @@ class Hierarchy:
             value = self._store_seq
             self._store_seq = (self._store_seq + 1) & 0xFF
         # hit/miss tallies cover loads only, so hits + misses = loads holds
-        out = self.l1.access(addr, domain, 0, value & 0xFF)
+        source = self.l1.access(addr, domain, 0, value & 0xFF)
         if self.debug_checks:
             self.check_invariants()
-        return out
+        return self._outcome[source]
 
     def flush(self, addr: int, domain: int) -> bool:
         """Invalidate addr's line, writing dirty data back to memory.
@@ -157,9 +173,11 @@ class Hierarchy:
     def sfill_inv(self, addr: int, domain: int, source_level: int) -> bool:
         """The L1 phase of one squash invalidation; True when L1 passes
         it on to L2.  source_level is where the squashed load's data
-        came from, 2 or 3."""
+        came from, 2 or 3.  The baseline counts the request and drops
+        it unseen."""
         self.sfill_inv_sent += 1
-        return self.l1.handle_sfill_inv(addr, domain, source_level)
+        return self._own_only and self.l1.handle_sfill_inv(
+            addr, domain, source_level)
 
     def squash(self, loads) -> None:
         """Invalidate one squashed window's (addr, domain, source_level)
@@ -196,32 +214,9 @@ class Hierarchy:
                 self.memory.write_line(rec.base, rec.data)
 
     def check_invariants(self) -> None:
-        l1_lines = list(self.l1.valid_lines())
-        by_base: dict[int, list] = {}
-        for rec in l1_lines:
+        """Inclusion, then each level's own structure."""
+        for rec in self.l1.valid_lines():
             assert self.l2.contains_addr(rec.base), \
                 f"L1 line 0x{rec.base:x} missing from L2"
-            assert not (rec.spec_bit and rec.dirty), \
-                f"speculative line 0x{rec.base:x} is dirty"
-            by_base.setdefault(rec.base, []).append(rec)
-        # the base index must agree with a scan, slot order included
-        for base, recs in by_base.items():
-            assert self.l1.contains_addr(base), \
-                f"base index lost L1 line 0x{base:x}"
-            assert self.l1.lines_at(base) == recs, \
-                f"base index disagrees with the L1 lines at 0x{base:x}"
-        for rec in self.l2.valid_lines():
-            assert not (rec.spec_bit and rec.dirty), \
-                f"speculative L2 line 0x{rec.base:x} is dirty"
-        if isinstance(self.l1, NewsCache):
-            l1 = self.l1
-            assert l1._at.keys() == by_base.keys(), \
-                "base index holds a line base no L1 line has"
-            # each entry names its own line's key, so distinct entries
-            # point at distinct slots
-            for (dom, field), slot in l1._keys.items():
-                rec = l1._slots[slot]
-                assert (rec is not None and rec.domain == dom and
-                        rec.base & l1._key_mask == field), \
-                    "mapping entry points at the wrong line"
-            assert len(l1._keys) == len(l1_lines), "mapping entry per valid line"
+        self.l1.check_invariants()
+        self.l2.check_invariants()

@@ -1,8 +1,8 @@
 """The three L1 data cache models.
 
 sa-lru      conventional set-associative cache with LRU replacement; no
-            domain awareness.  Serves as the insecure baseline and, with
-            its secure invalidation handler enabled, as the L2 model.
+            domain awareness.  Serves as the insecure baseline, which
+            gets no squash invalidation, and as the L2 model.
 star-farr   fully associative array with uniform random replacement.  A
             hit requires both the tag and the requesting domain to
             match, so one domain can never hit (or flush) another
@@ -21,11 +21,6 @@ speculative load, cleared by the first non-speculative touch.  Lines
 with spec_bit set are never dirty, which lets squash-time invalidation
 drop them without a write-back.
 
-Accesses allocate no outcome: every model returns one preallocated,
-immutable hit outcome, and one shared miss outcome per (source level,
-cycles below), built the first time it is needed.  A NEWS forward
-without fill shares the outcome of a filled miss down the same path.
-
 Line payloads are copy-on-write.  A lower level's fetch returns
 immutable bytes, and a fill keeps that object, so an L1 line, its L2
 line and the memory line may share one buffer; a line takes a private
@@ -33,16 +28,17 @@ bytearray on its first store.  Nothing else writes a payload in place:
 a write-back into L2 or a flush resync replaces the L2 payload with
 fresh bytes.  So a shared buffer is never written.
 
-Levels stack: each one's lower is the level below it.  Every model
-answers access(addr, domain, spec_bit, value=None), a store of the byte
-value exactly when a value is passed (a store is never speculative: a
-NEWS mapping conflict, which forwards a speculative load without a
-fill, raises ValueError for one); flush_line(addr, domain,
-own_domain_only), which returns the removed line or None; and
-handle_sfill_inv(addr, domain, source_level), True when the squash
-invalidation travels on, which it does only when the data came from
-below this level.  A level below answers fetch(addr, domain, spec_bit)
-with (payload, source level, cycles below) and writeback(base, domain,
+Levels stack: each one's lower is the level below it, and keep no
+latencies.  access(addr, domain, spec_bit, value=None) returns the
+level that supplied the data: its own on a hit, else what the fetch
+below reported, a NEWS forward without fill included.  It stores the
+byte value exactly when a value is passed (a store is never
+speculative: a NEWS mapping conflict raises ValueError for one).
+flush_line(addr, domain, own_domain_only) returns the removed line or
+None; handle_sfill_inv(addr, domain, source_level) is True when the
+squash invalidation travels on, which it does only when the data came
+from below this level.  A level below answers fetch(addr, domain,
+spec_bit) with (payload, source level) and writeback(base, domain,
 data) for a dirty line coming down: the set-associative cache as an L2
 does, the flat memory in core as the bottom level.
 
@@ -61,38 +57,8 @@ most.  The hierarchy uses it to recall L1 copies when L2 evicts.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import NamedTuple
 
 from .core import CacheGeometry, Rng
-
-
-class AccessOutcome(NamedTuple):
-    """Result of one L1 access.
-
-    source_level is the level that supplied the data: 1 on a hit, 2 for
-    L2, 3 for memory.  Outcomes are immutable: a model hands out the
-    same outcome for every access that took the same path.
-    """
-
-    latency: int
-    source_level: int
-
-
-class _MissOutcomes(dict):
-    """The shared miss outcomes of one level, keyed by below << 2 |
-    source: the cycles the level below took, and the level that supplied
-    the data (2 or 3, so two bits hold it).  Each outcome is built the
-    first time it is looked up."""
-
-    __slots__ = ("hit_cycles",)
-
-    def __init__(self, hit_cycles: int):
-        super().__init__()
-        self.hit_cycles = hit_cycles
-
-    def __missing__(self, key: int) -> AccessOutcome:
-        out = self[key] = AccessOutcome(self.hit_cycles + (key >> 2), key & 3)
-        return out
 
 
 def _store(rec: CacheLineMeta, offset: int, value: int) -> None:
@@ -124,18 +90,17 @@ class CacheLineMeta:
 class SetAssocLru:
     """Conventional set-associative LRU cache.
 
-    Hits ignore the requesting domain.  secure_inval selects the squash
-    invalidation handler: the baseline L1 ignores those requests
-    entirely, while an L2 serving the hardened models honours them.
+    Hits ignore the requesting domain, and a set holds one copy of a
+    base, so nothing is forwarded without a fill.
     """
 
-    def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
-                 secure_inval: bool = False, level: int = 1):
+    tagmiss_forward_nofill = 0
+
+    def __init__(self, geometry: CacheGeometry, lower, level: int = 1):
         if geometry.extra_index_bits:
             raise ValueError("set-associative model takes no extra index bits")
         self.geom = geometry
         self.lower = lower
-        self.secure_inval = secure_inval
         self.level = level
         self._offset_bits = geometry.offset_bits
         self._line_mask = ~(geometry.line_size - 1)
@@ -143,8 +108,6 @@ class SetAssocLru:
         self._assoc = geometry.associativity
         # per-set OrderedDict keyed by line base; insertion end is MRU
         self._sets = [OrderedDict() for _ in range(geometry.set_count)]
-        self._hit = AccessOutcome(hit_cycles, 1)
-        self._miss = _MissOutcomes(hit_cycles)
         self.inval_dropped_case_i = 0
         # set by the hierarchy when this cache backs an upper level;
         # called after an eviction so the upper copy can be recalled
@@ -172,8 +135,18 @@ class SetAssocLru:
         for s in self._sets:
             yield from s.values()
 
+    def check_invariants(self) -> None:
+        for i, od in enumerate(self._sets):
+            assert len(od) <= self._assoc, f"set {i} holds more lines than ways"
+            for base, rec in od.items():
+                assert (rec.base == base and
+                        (base >> self._offset_bits) & self._setmask == i), \
+                    f"line 0x{rec.base:x} filed under the wrong set or base"
+                assert not (rec.spec_bit and rec.dirty), \
+                    f"speculative L{self.level} line 0x{base:x} is dirty"
+
     def access(self, addr: int, domain: int, spec_bit: int,
-               value: int | None = None) -> AccessOutcome:
+               value: int | None = None) -> int:
         base = addr & self._line_mask
         od = self._sets[(base >> self._offset_bits) & self._setmask]
         rec = od.get(base)
@@ -183,9 +156,9 @@ class SetAssocLru:
                 rec.spec_bit = 0
             if value is not None:
                 _store(rec, addr - base, value)
-            return self._hit
+            return self.level
 
-        data, source, below = self.lower.fetch(addr, domain, spec_bit)
+        data, source = self.lower.fetch(addr, domain, spec_bit)
         if len(od) >= self._assoc:
             vbase, vrec = od.popitem(last=False)
             if vrec.dirty:
@@ -195,17 +168,17 @@ class SetAssocLru:
         rec = od[base] = CacheLineMeta(base, domain, spec_bit, 0, data)
         if value is not None:
             _store(rec, addr - base, value)
-        return self._miss[below << 2 | source]
+        return source
 
     def fetch(self, addr: int, domain: int, spec_bit: int):
         """Serve a miss from the level above: load addr's line here,
         filling it from below first on a miss."""
         # looked up per call: a tracer may wrap the instance's access
-        out = self.access(addr, domain, spec_bit)
+        source = self.access(addr, domain, spec_bit)
         # the access left the line in its set; read the payload there
         base = addr & self._line_mask
         data = self._sets[(base >> self._offset_bits) & self._setmask][base].data
-        return data, 2 if out.source_level == 1 else 3, out.latency
+        return data, source
 
     def writeback(self, base: int, domain: int, data) -> None:
         """Land a dirty line from the level above in its line here,
@@ -228,9 +201,6 @@ class SetAssocLru:
 
     def handle_sfill_inv(self, addr: int, domain: int,
                          source_level: int) -> bool:
-        if not self.secure_inval:
-            # conventional cache: the message means nothing here
-            return False
         base = addr & self._line_mask
         od = self._sets[(base >> self._offset_bits) & self._setmask]
         rec = od.get(base)
@@ -265,8 +235,8 @@ class NewsCache:
     fills where they always landed.
     """
 
-    def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
-                 rng: Rng, level: int = 1):
+    def __init__(self, geometry: CacheGeometry, lower, rng: Rng,
+                 level: int = 1):
         self.geom = geometry
         self.lower = lower
         self.rng = rng
@@ -280,8 +250,6 @@ class NewsCache:
         self._free = list(range(n - 1, -1, -1))
         self._keys: dict[tuple[int, int], int] = {}   # mapping entry -> slot
         self._at: dict[int, list[int]] = {}           # base -> slots
-        self._hit = AccessOutcome(hit_cycles, 1)
-        self._miss = _MissOutcomes(hit_cycles)
         self.inval_dropped_case_i = 0
         self.tagmiss_forward_nofill = 0
 
@@ -297,6 +265,28 @@ class NewsCache:
 
     def valid_lines(self):
         return (rec for rec in self._slots if rec is not None)
+
+    def check_invariants(self) -> None:
+        lines = list(self.valid_lines())
+        by_base: dict[int, list] = {}
+        for rec in lines:
+            assert not (rec.spec_bit and rec.dirty), \
+                f"speculative L{self.level} line 0x{rec.base:x} is dirty"
+            by_base.setdefault(rec.base, []).append(rec)
+        # the base index must agree with a scan, slot order included
+        assert self._at.keys() == by_base.keys(), \
+            "base index holds a line base no line has"
+        for base, recs in by_base.items():
+            assert self.lines_at(base) == recs, \
+                f"base index disagrees with the lines at 0x{base:x}"
+        # each entry names its own line's key, so distinct entries
+        # point at distinct slots
+        for (dom, field), slot in self._keys.items():
+            rec = self._slots[slot]
+            assert (rec is not None and rec.domain == dom and
+                    rec.base & self._key_mask == field), \
+                "mapping entry points at the wrong line"
+        assert len(self._keys) == len(lines), "mapping entry per valid line"
 
     def _slot_of(self, addr: int, domain: int) -> int | None:
         """Slot holding addr's line for domain: mapping and tag match."""
@@ -348,7 +338,7 @@ class NewsCache:
                 return slot
 
     def access(self, addr: int, domain: int, spec_bit: int,
-               value: int | None = None) -> AccessOutcome:
+               value: int | None = None) -> int:
         base = addr & self._line_mask
         key = (domain, base & self._key_mask)   # the mapping entry
         slot = self._keys.get(key)
@@ -359,9 +349,9 @@ class NewsCache:
                     rec.spec_bit = 0
                 if value is not None:
                     _store(rec, addr - base, value)
-                return self._hit
+                return self.level
 
-        data, source, below = self.lower.fetch(addr, domain, spec_bit)
+        data, source = self.lower.fetch(addr, domain, spec_bit)
         # the fetch may have recalled lines (an L2 eviction), so take a
         # fresh look at who owns the mapping entry and which slots are
         # free now
@@ -377,7 +367,7 @@ class NewsCache:
                         "speculative")
                 self.tagmiss_forward_nofill += 1
                 self._evict_slot(self._random_valid_slot())
-                return self._miss[below << 2 | source]
+                return source
             # non-speculative conflict replaces the conflicting line in
             # place; the mapping key stays, the base changes
             self._evict_slot(slot)
@@ -394,7 +384,7 @@ class NewsCache:
             at.append(slot)
         if value is not None:
             _store(rec, addr - base, value)
-        return self._miss[below << 2 | source]
+        return source
 
     def flush_line(self, addr: int, domain: int,
                    own_domain_only: bool = True) -> CacheLineMeta | None:
@@ -422,9 +412,9 @@ class FarrCache(NewsCache):
     is then (domain, line base), one copy per domain, and a mapping hit
     is always a tag match, so the conflict paths never run."""
 
-    def __init__(self, geometry: CacheGeometry, hit_cycles: int, lower,
-                 rng: Rng, level: int = 1):
-        super().__init__(geometry, hit_cycles, lower, rng, level)
+    def __init__(self, geometry: CacheGeometry, lower, rng: Rng,
+                 level: int = 1):
+        super().__init__(geometry, lower, rng, level)
         self._key_mask = self._line_mask
 
 

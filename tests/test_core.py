@@ -196,10 +196,10 @@ def test_flat_memory_read_write():
 
 
 def test_flat_memory_fetch_serves_the_level_above():
-    mem = FlatMemory(64, cycles=77)
+    mem = FlatMemory(64)
     mem.write_line(0x1000, bytes(range(64)))
-    data, source, cycles = mem.fetch(0x1000 + 9, 0, 1)
+    data, source = mem.fetch(0x1000 + 9, 0, 1)
     assert data is mem.read_line(0x1000)
-    assert (source, cycles) == (3, 77)
+    assert source == 3
     mem.writeback(0x1000, 0, bytes(64))
     assert mem.read_line(0x1000) == bytes(64)

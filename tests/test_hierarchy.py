@@ -25,6 +25,33 @@ def test_latency_ladder():
     assert out.source_level == 2
 
 
+@pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
+@pytest.mark.parametrize("cycles, ladder", [((1, 12, 100), (1, 13, 113)),
+                                            ((2, 30, 200), (2, 32, 232))],
+                         ids=["default", "other"])
+def test_one_shared_immutable_outcome_per_source_level(model, cycles, ladder):
+    l1, l2, mem = cycles
+    h = _hier(model, l1_hit_cycles=l1, l2_hit_cycles=l2, memory_cycles=mem)
+    from_mem = h.load(0x1000, 0)
+    hit = h.load(0x1000, 0)
+    h.l1.flush_line(0x1000, 0, True)        # the L2 copy stays
+    from_l2 = h.load(0x1000, 0)
+    assert (hit, from_l2, from_mem) == tuple(zip(ladder, (1, 2, 3)))
+    # every access served from one level gets that level's outcome,
+    # loads and stores alike
+    assert h.store(0x1004, 0, 7) is hit
+    assert h.load(0x2000, 0) is from_mem
+    assert h.store(0x3000, 0) is from_mem
+    h.l1.flush_line(0x2000, 0, True)
+    assert h.load(0x2000, 0) is from_l2
+    for outcome in (hit, from_l2, from_mem):
+        with pytest.raises(AttributeError):
+            outcome.latency = 5
+        with pytest.raises(AttributeError):
+            outcome.source_level = 2
+    assert h.load(0x1000, 0) == (ladder[0], 1)
+
+
 def test_flush_then_reload_pays_memory():
     h = _hier()
     h.load(0x2000, 0)
@@ -156,11 +183,15 @@ def test_sfill_inv_source2_stops_at_nonspec_l2_line():
 
 
 def test_sfill_inv_ignored_by_baseline_l1():
-    h = _hier("sa-lru")
-    h.load(0xC000, 0, spec_bit=1)
-    assert h.sfill_inv(0xC000, 0, 3) is False    # not passed on to L2
-    assert h.l1.find(0xC000) is not None
-    assert h.l2.contains_addr(0xC000)
+    # the baseline counts the send, and no handler sees it
+    for spec in (1, 0):
+        h = _hier("sa-lru")
+        h.load(0xC000, 0, spec_bit=spec)
+        assert h.sfill_inv(0xC000, 0, 3) is False    # not passed on to L2
+        assert h.sfill_inv_sent == 1
+        assert h.sfill_inv_dropped_case_i == 0
+        assert h.l1.find(0xC000) is not None
+        assert h.l2.contains_addr(0xC000)
 
 
 def test_spec_clean_invariant_holds():
@@ -425,8 +456,8 @@ def test_squash_scrubs_a_fresh_line_two_domains_loaded(model, first):
     barrier = engine.issue_barrier()
     engine.issue_load(a, first)
     engine.issue_load(a, 1 - first)
-    report = engine.squash_from(barrier.id)
-    assert report.sfill_inv_sent == 2
+    engine.squash_from(barrier.id)
+    assert h.sfill_inv_sent == 2
     assert not h.l1.contains_addr(a)
     assert not h.l2.contains_addr(a)
 

@@ -5,7 +5,7 @@ from starcache.models import FarrCache, NewsCache, SetAssocLru
 
 
 class _Lower:
-    """Flat 100-cycle backing store recording traffic."""
+    """Flat backing store (source level 3) recording traffic."""
 
     def __init__(self):
         self.fetches = []
@@ -13,24 +13,23 @@ class _Lower:
 
     def fetch(self, addr, domain, spec_bit):
         self.fetches.append((addr, domain, spec_bit))
-        return bytes(64), 3, 100
+        return bytes(64), 3
 
     def writeback(self, base, domain, data):
         self.writebacks.append((base, domain, bytes(data)))
 
 
 def _lru(sets=4, assoc=2, **kw):
-    return SetAssocLru(CacheGeometry(64, sets * assoc, assoc), 1, _Lower(),
-                       **kw)
+    return SetAssocLru(CacheGeometry(64, sets * assoc, assoc), _Lower(), **kw)
 
 
-def _farr(lines=8, seed=5):
-    return FarrCache(CacheGeometry(64, lines, lines), 1, _Lower(), Rng(seed))
+def _farr(lines=8, seed=5, **kw):
+    return FarrCache(CacheGeometry(64, lines, lines), _Lower(), Rng(seed), **kw)
 
 
-def _news(lines=8, k=2, seed=5):
-    return NewsCache(CacheGeometry(64, lines, lines, k), 1, _Lower(),
-                     Rng(seed))
+def _news(lines=8, k=2, seed=5, **kw):
+    return NewsCache(CacheGeometry(64, lines, lines, k), _Lower(), Rng(seed),
+                     **kw)
 
 
 def _set_stride(cache):
@@ -43,15 +42,12 @@ def _bases(cache):
 
 # -- set-associative LRU --
 
-def test_lru_hit_and_miss_latencies():
+def test_lru_hit_and_miss_source_levels():
     c = _lru()
-    out = c.access(0x1000, 0, 0)
+    assert c.access(0x1000, 0, 0) == 3        # what the stub fetch reported
     assert c.find(0x1000) is not None
-    assert out.latency == 101        # own cycle + stub fetch
-    assert out.source_level == 3
-    out = c.access(0x1000, 0, 0)
-    assert out.latency == 1
-    assert out.source_level == 1
+    assert c.access(0x1000, 0, 0) == 1
+    assert c.access(0x1004, 0, 0, 7) == 1      # a store hit alike
 
 
 def test_lru_eviction_order():
@@ -71,8 +67,7 @@ def test_lru_eviction_order():
 def test_lru_hits_ignore_domain_and_keep_owner():
     c = _lru()
     c.access(0x2000, 1, 0)
-    out = c.access(0x2000, 2, 0)
-    assert out.source_level == 1
+    assert c.access(0x2000, 2, 0) == 1
     assert c.find(0x2000).domain == 1    # the line is not retagged
 
 
@@ -145,23 +140,25 @@ def test_lru_on_evict_callback():
 # -- the level protocol: an L2 over flat memory --
 
 def _l2_over_memory():
-    mem = FlatMemory(64, cycles=100)
-    return SetAssocLru(CacheGeometry(64, 8, 2), 12, mem, level=2), mem
+    mem = FlatMemory(64)
+    return SetAssocLru(CacheGeometry(64, 8, 2), mem, level=2), mem
 
 
 def test_lru_fetch_shares_the_resident_payload():
     l2, mem = _l2_over_memory()
     mem.write_line(0x1000, bytes(range(64)))
-    data, _, _ = l2.fetch(0x1000 + 5, 0, 0)
+    data, _ = l2.fetch(0x1000 + 5, 0, 0)
     assert data is l2.find(0x1000).data is mem.read_line(0x1000)
-    again, _, _ = l2.fetch(0x1000, 0, 0)
+    again, _ = l2.fetch(0x1000, 0, 0)
     assert again is data
 
 
-def test_lru_fetch_reports_source_and_cycles():
-    l2, _ = _l2_over_memory()
-    assert l2.fetch(0x2000, 1, 0)[1:] == (3, 112)    # own 12 + memory 100
-    assert l2.fetch(0x2000, 1, 0)[1:] == (2, 12)
+def test_lru_fetch_reports_the_source_level():
+    l2, mem = _l2_over_memory()
+    mem.write_line(0x2000, bytes(range(64)))
+    payload = mem.read_line(0x2000)
+    assert l2.fetch(0x2000, 1, 0) == (payload, 3)    # filled from memory
+    assert l2.fetch(0x2000 + 3, 1, 0) == (payload, 2)
 
 
 def test_lru_writeback_takes_fresh_bytes_dirty_and_architectural():
@@ -182,12 +179,11 @@ def test_lru_writeback_takes_fresh_bytes_dirty_and_architectural():
 def test_farr_domain_gated_hits():
     c = _farr()
     c.access(0x1000, 1, 0)
-    out = c.access(0x1000, 2, 0)
-    assert out.source_level == 3        # no cross-domain hit
+    assert c.access(0x1000, 2, 0) == 3        # no cross-domain hit
     # both domains now hold private copies of the same base
     assert c.find(0x1000, 1) is not None
     assert c.find(0x1000, 2) is not None
-    assert c.access(0x1000, 1, 0).source_level == 1
+    assert c.access(0x1000, 1, 0) == 1
 
 
 def test_farr_fills_invalid_slots_before_evicting():
@@ -239,8 +235,7 @@ def test_farr_maps_the_whole_line_address():
     a = 0x1000
     b = a ^ (1 << (c.geom.offset_bits + c.geom.index_bits))
     c.access(a, 0, 0)
-    out = c.access(b, 0, 1)
-    assert out.source_level == 3
+    assert c.access(b, 0, 1) == 3
     assert c.find(a, 0) is not None and c.find(b, 0) is not None
     assert c.tagmiss_forward_nofill == 0
 
@@ -249,9 +244,9 @@ def test_farr_maps_the_whole_line_address():
 
 def test_news_basic_hit_miss():
     c = _news()
-    assert c.access(0x1000, 0, 0).source_level == 3
-    assert c.access(0x1000, 0, 0).source_level == 1
-    assert c.access(0x1000, 1, 0).source_level == 3
+    assert c.access(0x1000, 0, 0) == 3
+    assert c.access(0x1000, 0, 0) == 1
+    assert c.access(0x1000, 1, 0) == 3
     assert c.find(0x1000, 1) is not None
 
 
@@ -263,8 +258,7 @@ def test_news_nonspec_conflict_replaces_in_place():
     b = a ^ (1 << conflict_bit)
     c.access(a, 0, 0)
     before = len(list(c.valid_lines()))
-    out = c.access(b, 0, 0)
-    assert out.source_level == 3
+    assert c.access(b, 0, 0) == 3
     assert _bases(c) == {b}
     assert c.find(a, 0) is None
     assert c.find(b, 0) is not None
@@ -277,8 +271,7 @@ def test_news_spec_conflict_forwards_without_fill():
     a = 0x1000
     b = a ^ (1 << conflict_bit)
     c.access(a, 0, 0)
-    out = c.access(b, 0, 1)
-    assert out.source_level == 3       # data still came from below
+    assert c.access(b, 0, 1) == 3       # data still came from below
     assert c.tagmiss_forward_nofill == 1
     assert c.find(b, 0) is None        # left no trace of itself
     # exactly one random eviction happened (a was the only valid line)
@@ -297,8 +290,7 @@ def test_news_rejects_a_speculative_store_on_a_mapping_conflict():
 
 def test_news_spec_mapping_miss_fills():
     c = _news()
-    out = c.access(0x2000, 0, 1)
-    assert out.source_level == 3
+    assert c.access(0x2000, 0, 1) == 3
     assert c.find(0x2000, 0).spec_bit == 1
 
 
@@ -331,7 +323,7 @@ def _filled(cache, addr, spec):
 
 
 def test_sfill_nonspec_line_drops_and_counts():
-    for make in (lambda: _lru(secure_inval=True, level=2), _farr, _news):
+    for make in (lambda: _lru(level=2), _farr, _news):
         c = _filled(make(), 0x1000, 0)
         assert c.handle_sfill_inv(0x1000, 0, 3) is False
         assert c.find(0x1000, 0) is not None
@@ -339,7 +331,7 @@ def test_sfill_nonspec_line_drops_and_counts():
 
 
 def test_sfill_spec_line_invalidated_then_propagates_by_source():
-    for make in (lambda: _lru(secure_inval=True, level=2), _farr, _news):
+    for make in (lambda: _lru(level=2), _farr, _news):
         c = _filled(make(), 0x1000, 1)
         level = c.level
         propagates = c.handle_sfill_inv(0x1000, 0, 3)
@@ -352,15 +344,9 @@ def test_sfill_absent_propagates_only_deeper():
     c = _farr()
     assert c.handle_sfill_inv(0x1000, 0, 2) is True
     assert c.handle_sfill_inv(0x1000, 0, 3) is True
-    c2 = _lru(secure_inval=True, level=2)
+    c2 = _lru(level=2)
     assert c2.handle_sfill_inv(0x1000, 0, 2) is False
     assert c2.handle_sfill_inv(0x1000, 0, 3) is True
-
-
-def test_sfill_conventional_cache_ignores_message():
-    c = _filled(_lru(secure_inval=False), 0x1000, 1)
-    assert c.handle_sfill_inv(0x1000, 0, 3) is False
-    assert c.find(0x1000) is not None
 
 
 def test_sfill_wrong_domain_treated_as_absent():
@@ -372,53 +358,36 @@ def test_sfill_wrong_domain_treated_as_absent():
 
 def test_lru_rejects_extra_index_bits():
     with pytest.raises(ValueError):
-        SetAssocLru(CacheGeometry(64, 8, 2, 2), 1, _Lower())
+        SetAssocLru(CacheGeometry(64, 8, 2, 2), _Lower())
 
 
-# -- shared hit outcome and base index --
+# -- source levels and base index --
 
-def test_hit_outcome_is_shared_and_immutable():
+def test_a_level2_hit_reports_level_2():
     for make in (_lru, _farr, _news):
-        c = make()
-        miss = c.access(0x1000, 0, 0)
-        hit = c.access(0x1000, 0, 0)
-        assert c.access(0x1004, 0, 0, 7) is hit
-        assert hit == (1, 1)
-        assert miss == (101, 3)
-        # every miss down the same path shares one outcome, loads and
-        # stores alike
-        assert c.access(0x1040, 0, 0) is miss
-        assert c.access(0x1080, 0, 0, 1) is miss
-        for outcome in (hit, miss):
-            with pytest.raises(AttributeError):
-                outcome.latency = 5
-            with pytest.raises(AttributeError):
-                outcome.source_level = 2
-        assert c.access(0x1000, 0, 0).latency == 1
-        assert c.access(0x10C0, 0, 0) == (101, 3)
+        c = make(level=2)
+        assert c.access(0x1000, 0, 0) == 3        # the stub fetch's level
+        assert c.access(0x1000, 0, 0) == 2
+        assert c.access(0x1004, 0, 0, 7) == 2     # stores alike
 
 
-def test_miss_outcomes_are_keyed_by_source_and_latency():
+def test_news_forward_without_fill_reports_the_source_below():
     c = _news(lines=8, k=2)
     conflict_bit = c.geom.offset_bits + c.geom.index_bits
     a = 0x1000
     b = a ^ (1 << conflict_bit)
-    filled = c.access(a, 0, 0)
-    # a forward without fill down the same path shares the filled
-    # miss's outcome; the counter and the cache contents tell them apart
-    nofill = c.access(b, 0, 1)
-    assert nofill is filled and nofill == (101, 3)
+    assert c.access(a, 0, 0) == 3
+    # a forward without fill reports the level the fetch below named;
+    # the counter and the cache contents tell it from a fill
+    assert c.access(b, 0, 1) == 3
     assert c.tagmiss_forward_nofill == 1
     assert c.find(b, 0) is None
+    c.lower.fetch = lambda addr, domain, spec_bit: (bytes(64), 2)
     c.access(a, 0, 0)
-    assert c.access(b, 0, 1) is filled
+    assert c.access(a, 0, 0) == 1
+    assert c.access(b, 0, 1) == 2
     assert c.tagmiss_forward_nofill == 2
-    # another source level or latency below gets its own outcome
-    c.lower.fetch = lambda addr, domain, spec_bit: (bytes(64), 2, 12)
-    l2 = c.access(0x7000, 0, 0)
-    assert l2 == (13, 2)
-    assert c.access(0x7040, 0, 0) is l2
-    assert l2 is not filled
+    assert c.find(b, 0) is None
 
 
 def test_lines_at_lists_every_copy_in_slot_order():
