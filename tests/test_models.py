@@ -1,6 +1,7 @@
 import pytest
 
 from starcache.core import CacheGeometry, FlatMemory, Rng
+from starcache.hierarchy import Hierarchy
 from starcache.models import FarrCache, NewsCache, SetAssocLru
 
 
@@ -347,6 +348,18 @@ def test_sfill_absent_propagates_only_deeper():
     c2 = _lru(level=2)
     assert c2.handle_sfill_inv(0x1000, 0, 2) is False
     assert c2.handle_sfill_inv(0x1000, 0, 3) is True
+
+
+def test_sfill_conventional_cache_ignores_message():
+    # the baseline's conventional L1 never sees the message: its
+    # speculative line stays, spec bit set, and nothing is counted
+    h = Hierarchy("sa-lru", CacheGeometry(64, 8, 2),
+                  CacheGeometry(64, 32, 4), Rng(1))
+    c = h.l1
+    c.access(0x1000, 0, 1)
+    assert h.sfill_inv(0x1000, 0, 3) is False
+    assert c.find(0x1000).spec_bit == 1
+    assert c.inval_dropped_case_i == 0
 
 
 def test_sfill_wrong_domain_treated_as_absent():
