@@ -1,14 +1,9 @@
 """Deterministic simulator of hardened L1 cache designs under cache
 side-channel attacks.
 
-Three L1 models sit under one speculative load engine and a shared
-two-level write-back hierarchy:
-
-- ``sa-lru``: conventional set-associative LRU baseline.
-- ``star-farr``: fully associative, uniform random replacement, hits
-  gated on the security domain.
-- ``star-news``: randomized mapping array with extra index bits, same
-  domain gating, plus forward-without-fill on speculative conflicts.
+Three L1 designs, the conventional ``sa-lru`` baseline and the
+hardened ``star-farr`` and ``star-news`` (``models.DESIGNS``), sit under
+one speculative load engine and a shared two-level write-back hierarchy.
 
 Attack harnesses (flush-reload and prime-probe, against first-round AES
 table lookups and against a bounds-check-bypass gadget) drive the

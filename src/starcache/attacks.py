@@ -23,6 +23,7 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .core import Rng
 from .engine import SpecEngine
+from .models import DESIGNS, SetAssocLru
 from .observe import (MIN_SCORE_TRIALS, ObservationMatrix, RecoveryResult,
                       fold, leakage_score, noise_floor, recover_byte,
                       recover_nibble)
@@ -262,7 +263,7 @@ def _pp_layout(config: RunConfig):
     column) pairs, the primed lines newest first, each charged to its
     set on the conventional model and to its own prime position on the
     randomized ones, which have no attacker-visible sets."""
-    by_set = config.model == "sa-lru"
+    by_set = DESIGNS[config.model].l1 is SetAssocLru
     n_sets = config.l1_lines // config.l1_assoc
     cols = n_sets if by_set else config.l1_lines
     prime_addrs = [SPECTRE_PRIME_BASE + LINE_BYTES * i

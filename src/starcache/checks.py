@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig
 from .core import CacheGeometry, FlatMemory, Rng
 from .engine import SpecEngine
-from .models import FarrCache, NewsCache, SetAssocLru
+from .models import DESIGNS, MODEL_NAMES, NewsCache
 from .trace import parse_trace, replay, synth_trace, format_trace
 
 # upper chi-square quantile, 15 degrees of freedom, tail mass 0.001
@@ -170,14 +170,11 @@ def check_spec_conflict_no_trace(quick: bool) -> CheckResult:
 # -- squash invalidation case table --
 
 def _standalone_cache(kind: str, level: int):
-    geom = CacheGeometry(64, 64, 4, 2 if kind == "star-news" else 0)
-    rng = Rng(105).fork(f"case-table-{kind}-{level}")
-    memory = FlatMemory(64)
-    if kind == "star-farr":
-        return FarrCache(geom, memory, rng, level=level)
-    if kind == "star-news":
-        return NewsCache(geom, memory, rng, level=level)
-    return SetAssocLru(geom, memory, level=level)
+    # sa-lru-secure: the set-associative handler the sa-lru L1 skips
+    design = DESIGNS[kind.removesuffix("-secure")]
+    geom = CacheGeometry(64, 64, 4, 0 if design.k is None else 2)
+    return design.l1(geom, FlatMemory(64),
+                     Rng(105).fork(f"case-table-{kind}-{level}"), level)
 
 
 SFILL_STATES = ("found-nonspec", "found-spec", "absent")
@@ -321,7 +318,7 @@ def check_flat_memory_oracle(quick: bool, traces: int = 10) -> CheckResult:
             op = "S" if rng.chance(0.4) else "L"
             addr = 0x600_0000 + 64 * rng.choose(256) + rng.choose(64)
             events.append((op, addr))
-        for model in ("sa-lru", "star-farr", "star-news"):
+        for model in MODEL_NAMES:
             # tiny caches so dirty evictions and back-invalidations flow
             cfg = RunConfig(model=model, l1_lines=16, l1_assoc=2,
                             l2_lines=64, l2_assoc=4).validate()
@@ -348,7 +345,7 @@ def check_flat_memory_oracle(quick: bool, traces: int = 10) -> CheckResult:
 
 def check_inclusion_replay(quick: bool) -> CheckResult:
     events = 2_000 if quick else 5_000
-    for model in ("sa-lru", "star-farr", "star-news"):
+    for model in MODEL_NAMES:
         cfg = RunConfig(model=model, l1_lines=32, l1_assoc=4, l2_lines=128,
                         l2_assoc=4, debug_checks=True).validate()
         hier = cfg.build_hierarchy(Rng(108).fork(f"incl-{model}"))

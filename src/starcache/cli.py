@@ -20,7 +20,7 @@ from . import attacks, checks
 from .config import ConfigError, RunConfig, load_config, read_utf8
 from .core import Rng
 from .engine import SpecEngine
-from .models import MODEL_NAMES
+from .models import DESIGNS, MODEL_NAMES
 from .observe import write_csv
 from .trace import (PROFILES, ReplayStats, TraceParseError, parse_trace,
                     replay, synth_trace)
@@ -169,7 +169,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         source = {"trace": os.path.basename(args.trace)}
 
     if args.sweep_k is not None:
-        if cfg.model != "star-news":
+        if DESIGNS[cfg.model].k is None:
             raise ConfigError("--sweep-k only applies to star-news")
         try:
             ks = [int(part) for part in args.sweep_k.split(",") if part]

@@ -17,7 +17,7 @@ from typing import Mapping, get_args, get_type_hints
 
 from .core import CacheGeometry, Rng
 from .hierarchy import Hierarchy
-from .models import MODEL_NAMES
+from .models import DESIGNS
 
 ENV_PREFIX = "STARCACHE_"
 
@@ -64,11 +64,11 @@ class RunConfig:
         empty OrderedDict per line) takes 1.8 s and 274 MiB of peak RSS
         to build, the star models 185 MiB (CPython 3.11, 2-core Xeon VM).
         """
-        if self.model not in MODEL_NAMES:
+        if self.model not in DESIGNS:
             raise ConfigError(
-                f"unknown model {self.model!r}; choose from {', '.join(MODEL_NAMES)}")
+                f"unknown model {self.model!r}; choose from {', '.join(DESIGNS)}")
         if self.k is not None:
-            if self.model != "star-news":
+            if DESIGNS[self.model].k is None:
                 raise ConfigError("k only applies to star-news")
             if not 0 <= self.k <= 16:
                 raise ConfigError(f"k must be 0..16, got {self.k}")
@@ -103,9 +103,10 @@ class RunConfig:
 
     @property
     def effective_k(self) -> int:
-        if self.model != "star-news":
+        default = DESIGNS[self.model].k     # None: the design takes no k
+        if default is None:
             return 0
-        return 4 if self.k is None else self.k
+        return default if self.k is None else self.k
 
     def l1_geometry(self) -> CacheGeometry:
         return CacheGeometry(self.line_size, self.l1_lines, self.l1_assoc,
@@ -115,7 +116,7 @@ class RunConfig:
         return CacheGeometry(self.line_size, self.l2_lines, self.l2_assoc, 0)
 
     def build_hierarchy(self, rng: Rng) -> Hierarchy:
-        return Hierarchy(self.model, self.l1_geometry(), self.l2_geometry(),
+        return Hierarchy(DESIGNS[self.model], self.l1_geometry(), self.l2_geometry(),
                          rng, l1_hit_cycles=self.l1_hit_cycles,
                          l2_hit_cycles=self.l2_hit_cycles,
                          memory_cycles=self.memory_cycles,

@@ -1,13 +1,13 @@
 """Two-level inclusive write-back hierarchy.
 
-L1 is one of the three cache models; L2 is always a conventional
-set-associative LRU cache.  The levels stack directly: L1's lower is
-L2 and L2's lower is the flat memory, so a miss fetches through the
-level below and an eviction writes back into it.  A level reports only
-which level supplied an access's data; the hierarchy owns the latency
-ladder, additive along that path: an L1 hit costs l1_hit_cycles, an L2
-hit adds l2_hit_cycles, a memory fetch adds memory_cycles on top of
-both.
+L1 is built from a design record (models.DESIGNS); L2 is always a
+conventional set-associative LRU cache.  The levels stack directly:
+L1's lower is L2 and L2's lower is the flat memory, so a miss fetches
+through the level below and an eviction writes back into it.  A level
+reports only which level supplied an access's data; the hierarchy owns
+the latency ladder, additive along that path: an L1 hit costs
+l1_hit_cycles, an L2 hit adds l2_hit_cycles, a memory fetch adds
+memory_cycles on top of both.
 
 Inclusion is by address: any address valid in L1 is also valid in L2
 (the forward-without-fill outcome leaves lines that exist only in L2,
@@ -15,8 +15,9 @@ which inclusion permits).  An L2 eviction recalls every L1 copy of that
 address.  Squash-time invalidation requests travel strictly downward
 and produce no response; level n forwards one to level n+1 only when
 the squashed load's data came from below level n.  A squash reaches L2
-only after it has reached every L1 copy the window made.  The baseline
-has no squash-time invalidation: it counts each request and drops it.
+only after it has reached every L1 copy the window made.  A hierarchy
+whose design record turns squash invalidation off counts each request
+and drops it.
 
 The hardened models keep one L1 copy per domain, and those copies are
 not kept coherent with each other.  Two domains storing to one line is
@@ -41,7 +42,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import CacheGeometry, FlatMemory, Rng
-from .models import FarrCache, NewsCache, SetAssocLru
+from .models import Design, SetAssocLru
 
 
 class AccessOutcome(NamedTuple):
@@ -56,7 +57,7 @@ class AccessOutcome(NamedTuple):
 class Hierarchy:
     """One simulated core's view of memory: L1 + L2 + flat backing store."""
 
-    def __init__(self, model: str, l1_geometry: CacheGeometry,
+    def __init__(self, design: Design, l1_geometry: CacheGeometry,
                  l2_geometry: CacheGeometry, rng: Rng,
                  l1_hit_cycles: int = 1, l2_hit_cycles: int = 12,
                  memory_cycles: int = 100, debug_checks: bool = False):
@@ -67,9 +68,8 @@ class Hierarchy:
                 raise ValueError(f"{name} must be at least 1, got {lat}")
         if l1_geometry.line_size != l2_geometry.line_size:
             raise ValueError("levels must share one line size")
-        # the hardened models flush only the caller's own copies, and
-        # only they invalidate squashed fills
-        self._own_only = model != "sa-lru"
+        self.own_domain_flush = design.own_domain_flush
+        self.squash_invalidation = design.squash_invalidation
         self.debug_checks = debug_checks
         self.memory = FlatMemory(l1_geometry.line_size)
         self._line_mask = ~(l1_geometry.line_size - 1)
@@ -81,23 +81,11 @@ class Hierarchy:
 
         l2 = self.l2 = SetAssocLru(l2_geometry, self.memory, level=2)
         l2.on_evict = self._back_invalidate
-        if model == "sa-lru":
-            self.l1 = SetAssocLru(l1_geometry, l2)
-        elif model == "star-farr":
-            self.l1 = FarrCache(l1_geometry, l2, rng)
-        elif model == "star-news":
-            self.l1 = NewsCache(l1_geometry, l2, rng)
-        else:
-            raise ValueError(f"unknown model {model!r}")
+        self.l1 = design.l1(l1_geometry, l2, rng)
 
         self._store_seq = 0
-        self.loads = 0
-        self.stores = 0
-        self.l1_hits = 0
-        self.l1_miss_l2 = 0
-        self.l1_miss_mem = 0
-        self.flushes = 0
-        self.sfill_inv_sent = 0
+        self.loads = self.stores = self.flushes = self.sfill_inv_sent = 0
+        self.l1_hits = self.l1_miss_l2 = self.l1_miss_mem = 0
 
     # -- statistics helpers --
     @property
@@ -142,14 +130,14 @@ class Hierarchy:
     def flush(self, addr: int, domain: int) -> bool:
         """Invalidate addr's line, writing dirty data back to memory.
 
-        The conventional baseline flushes whatever copy is resident, as
-        a flush instruction would.  The hardened models only honour the
-        caller's own domain; lines other domains own stay put.  A
-        hardened flush also keeps the L2 line, whoever owns it, while
-        another domain's L1 copy of it remains: inclusion needs it, and
-        recalling that copy would let one domain evict another's line."""
+        Without own_domain_flush (the baseline) a flush removes whatever
+        copy is resident, as a flush instruction would.  With it only
+        the caller's own copies go, and the L2 line, whoever owns it,
+        stays while another domain's L1 copy of it remains: inclusion
+        needs it, and recalling that copy would let one domain evict
+        another's line."""
         self.flushes += 1
-        own_only = self._own_only
+        own_only = self.own_domain_flush
         l1 = self.l1
         l1rec = l1.flush_line(addr, domain, own_only)
         if own_only and l1.contains_addr(addr & self._line_mask):
@@ -173,10 +161,10 @@ class Hierarchy:
     def sfill_inv(self, addr: int, domain: int, source_level: int) -> bool:
         """The L1 phase of one squash invalidation; True when L1 passes
         it on to L2.  source_level is where the squashed load's data
-        came from, 2 or 3.  The baseline counts the request and drops
-        it unseen."""
+        came from, 2 or 3.  Without squash_invalidation the request is
+        counted and dropped unseen."""
         self.sfill_inv_sent += 1
-        return self._own_only and self.l1.handle_sfill_inv(
+        return self.squash_invalidation and self.l1.handle_sfill_inv(
             addr, domain, source_level)
 
     def squash(self, loads) -> None:

@@ -1,20 +1,14 @@
-"""The three L1 data cache models.
+"""The L1 cache classes, and DESIGNS: each model name's L1 class and
+the defenses its hierarchy turns on.
 
-sa-lru      conventional set-associative cache with LRU replacement; no
-            domain awareness.  Serves as the insecure baseline, which
-            gets no squash invalidation, and as the L2 model.
-star-farr   fully associative array with uniform random replacement.  A
-            hit requires both the tag and the requesting domain to
-            match, so one domain can never hit (or flush) another
-            domain's lines.  It is star-news with a mapping over the
-            whole line address: every line has its own mapping entry,
-            so a mapping hit is always a tag match.
-star-news   randomized-mapping cache.  Each line is found through a
-            per-line mapping entry (domain, index) where the index field
-            is log2(line_count) + k bits of the address.  A mapping hit
-            with a tag mismatch forwards data without filling when the
-            load is speculative (plus one random eviction); a mapping
-            miss replaces a uniformly random line.
+sa-lru      SetAssocLru: set-associative, LRU, blind to domains.  The
+            insecure baseline, whose record turns squash invalidation
+            and domain-restricted flushes off; also the L2 model.
+star-farr   FarrCache: fully associative, uniform random replacement.
+star-news   NewsCache: randomized mapping over log2(line_count) + k
+            index bits, forward-without-fill on speculative conflicts.
+Both star classes hit (and flush) only on a tag and domain match, so
+one domain can never hit or flush another domain's lines.
 
 Every model keeps a spec_bit per line: set when the line was filled by a
 speculative load, cleared by the first non-speculative touch.  Lines
@@ -57,6 +51,7 @@ most.  The hierarchy uses it to recall L1 copies when L2 evicts.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import NamedTuple
 
 from .core import CacheGeometry, Rng
 
@@ -91,12 +86,14 @@ class SetAssocLru:
     """Conventional set-associative LRU cache.
 
     Hits ignore the requesting domain, and a set holds one copy of a
-    base, so nothing is forwarded without a fill.
+    base, so nothing is forwarded without a fill.  It takes an rng, as
+    every L1 class does, and draws nothing from it.
     """
 
     tagmiss_forward_nofill = 0
 
-    def __init__(self, geometry: CacheGeometry, lower, level: int = 1):
+    def __init__(self, geometry: CacheGeometry, lower, rng: Rng | None = None,
+                 level: int = 1):
         if geometry.extra_index_bits:
             raise ValueError("set-associative model takes no extra index bits")
         self.geom = geometry
@@ -117,9 +114,7 @@ class SetAssocLru:
     def find(self, addr: int, domain: int | None = None) -> CacheLineMeta | None:
         base = addr & self._line_mask
         rec = self._sets[(base >> self._offset_bits) & self._setmask].get(base)
-        if rec is None:
-            return None
-        if domain is not None and rec.domain != domain:
+        if rec is None or (domain is not None and rec.domain != domain):
             return None
         return rec
 
@@ -418,4 +413,26 @@ class FarrCache(NewsCache):
         self._key_mask = self._line_mask
 
 
-MODEL_NAMES = ("sa-lru", "star-farr", "star-news")
+class Design(NamedTuple):
+    """One L1 design, immutable.  own_domain_flush limits a flush to the
+    caller's own copies; without squash_invalidation the hierarchy
+    counts each squash invalidation and drops it; k is the default
+    count of extra index bits, None for a design that takes none.
+
+    A random-slot L1 always flushes by domain (NewsCache.flush_line
+    ignores own_domain_only), so own_domain_flush=False only makes sense
+    with SetAssocLru.  Paired with NewsCache, a cross-domain flush would
+    drop an L2 line that another domain's L1 copy still needs for
+    inclusion."""
+
+    l1: type        # built as l1(geometry, lower, rng, level=1)
+    own_domain_flush: bool
+    squash_invalidation: bool
+    k: int | None = None
+
+
+# model name -> design, in the order every report runs them
+DESIGNS = {"sa-lru": Design(SetAssocLru, False, False),
+           "star-farr": Design(FarrCache, True, True),
+           "star-news": Design(NewsCache, True, True, k=4)}
+MODEL_NAMES = tuple(DESIGNS)

@@ -341,6 +341,10 @@ _SYNTH_BASE = 0x40_0000
 # pointer-chase builds its whole cycle up front, at about 40 B and one
 # RNG draw per line: 1 << 22 lines take some 160 MiB and 2 s
 POINTER_CHASE_MAX_LINES = 1 << 22
+# a synthetic trace is held whole: 1 << 20 events take some 210 MiB and
+# 3 s on conflict-heavy, the largest profile, and 155 MiB on spec-mix
+# (CPython 3.11, 2-core Xeon VM)
+SYNTH_MAX_EVENTS = 1 << 20
 
 # conflict-heavy flips one tag bit per pair.  With 512 lines the
 # mapping index covers address bits 6..14, so every flip below sits in
@@ -356,13 +360,17 @@ def synth_trace(profile: str, events: int, seed: int,
                 footprint_lines: int = 4096, domains: int = 1) -> list[TraceEvent]:
     """Generate a deterministic synthetic trace.
 
-    `events` bounds the number of loads/stores emitted; structural
-    directives (SPEC_BEGIN/SPEC_END) come on top.
+    `events` bounds the number of loads/stores emitted, and may not
+    exceed SYNTH_MAX_EVENTS; structural directives (SPEC_BEGIN/SPEC_END)
+    come on top.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; pick one of {PROFILES}")
     if events < 1:
         raise ValueError("need at least one event")
+    if events > SYNTH_MAX_EVENTS:
+        raise ValueError(
+            f"events must be at most {SYNTH_MAX_EVENTS}, got {events}")
     for name, p in (("p_squash", p_squash), ("store_fraction", store_fraction)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p}")

@@ -16,11 +16,11 @@ from starcache.cli import main as cli_main
 from starcache.config import RunConfig
 from starcache.core import Rng
 from starcache.engine import SpecEngine
+from starcache.models import MODEL_NAMES
 from starcache.trace import replay, synth_trace
 
 pytestmark = pytest.mark.acceptance
 
-MODELS = ("sa-lru", "star-farr", "star-news")
 STAR_MODELS = ("star-farr", "star-news")
 KEY_ZERO = bytes(16)
 RUNTIME_LIMIT_S = 120.0
@@ -67,7 +67,7 @@ def _diagonal_holds(matrix, mode: str) -> bool:
 def _aes_criterion(criterion: str, runner, mode: str) -> None:
     parts = []
     ok = True
-    for model in MODELS:
+    for model in MODEL_NAMES:
         t0 = time.perf_counter()
         run = runner(_cfg(model), KEY_ZERO)
         elapsed = time.perf_counter() - t0

@@ -339,6 +339,7 @@ def test_sweep_command_smoke(tmp_path, capsys):
     ("uniform-random", "--footprint", "100000000000000", "footprint_lines"),
     ("spec-mix", "--footprint", "100000000000000", "footprint_lines"),
     ("pointer-chase", "--footprint", "1000000000000", "footprint_lines"),
+    ("spec-mix", "--events", "100000000000000", "events"),
 ])
 def test_replay_synth_rejects_out_of_range_input(tmp_path, capsys, profile,
                                                  flag, value, what):

@@ -20,9 +20,9 @@ import pytest
 
 from starcache.cli import main
 from starcache.core import Rng
+from starcache.models import MODEL_NAMES
 
 KEY = "0123456789abcdeffedcba9876543210"
-MODELS = ("sa-lru", "star-farr", "star-news")
 SMALL_CACHES = "l1_lines = 64\nl1_assoc = 4\nl2_lines = 256\nl2_assoc = 4\n"
 TRACE_FILE = "input.trace"
 
@@ -65,7 +65,7 @@ def _trace_file() -> str:
 
 def _cases() -> dict:
     cases = {}
-    for model in MODELS:
+    for model in MODEL_NAMES:
         m = ["--model", model]
         cases[f"attack-fr-aes-{model}"] = [
             "attack", "fr-aes", *m, "--trials", "64", "--seed", "5",

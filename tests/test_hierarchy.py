@@ -1,11 +1,25 @@
 import pytest
 
+from starcache import models
+from starcache.attacks import run_flush_reload_aes, run_spectre
 from starcache.checks import flat_replay_reference
 from starcache.config import RunConfig
-from starcache.core import Rng
+from starcache.core import CacheGeometry, Rng
 from starcache.engine import SpecEngine
 from starcache.hierarchy import Hierarchy
+from starcache.models import DESIGNS, Design, NewsCache, SetAssocLru
 from starcache.trace import parse_trace, replay
+
+# Designs that take one defense alone, for tests only.  sa-lru+squash
+# adds squash invalidation to the conventional cache, as CleanupSpec
+# does; star-news−squash keeps the randomized, domain-gated cache and
+# drops squash invalidation, as a Newcache-style design would.
+TEST_DESIGNS = {
+    "sa-lru+squash": Design(SetAssocLru, own_domain_flush=False,
+                            squash_invalidation=True),
+    "star-news−squash": Design(NewsCache, own_domain_flush=True,
+                               squash_invalidation=False, k=4),
+}
 
 
 def _hier(model="sa-lru", **kw):
@@ -222,9 +236,8 @@ def test_counters_add_up():
 
 
 def test_mismatched_line_sizes_rejected():
-    from starcache.core import CacheGeometry
     with pytest.raises(ValueError):
-        Hierarchy("sa-lru", CacheGeometry(64, 512, 8),
+        Hierarchy(DESIGNS["sa-lru"], CacheGeometry(64, 512, 8),
                   CacheGeometry(128, 4096, 8), Rng(1))
 
 
@@ -507,3 +520,47 @@ def test_l2_is_a_conventional_lru_that_a_squashed_load_can_perturb(
         engine.issue_load(0x1000, 0)   # the same L2 set
         engine.squash_from(barrier.id)
     assert h.load(0x0, 1).source_level == (3 if wrong_path else 1)
+
+
+@pytest.mark.parametrize("design", [DESIGNS["sa-lru"], DESIGNS["star-news"],
+                                    *TEST_DESIGNS.values()],
+                         ids=["sa-lru", "star-news", *TEST_DESIGNS])
+def test_flush_and_squash_each_follow_their_own_flag(design):
+    h = Hierarchy(design, CacheGeometry(64, 16, 4, design.k or 0),
+                  CacheGeometry(64, 64, 4), Rng(1), debug_checks=True)
+    # a domain-0 flush of domain 1's line removes it, at both levels,
+    # exactly when flushes cross domains
+    h.load(0x1000, 1)
+    h.flush(0x1000, 0)
+    assert (h.l1.find(0x1000, 1) is None) is not design.own_domain_flush
+    assert h.l2.contains_addr(0x1000) is design.own_domain_flush
+    # a squashed wrong-path fill leaves exactly when the L1 acts on
+    # squash invalidation; the request is sent either way
+    engine = SpecEngine(h)
+    barrier = engine.issue_barrier()
+    engine.issue_load(0x2000, 0)
+    engine.squash_from(barrier.id)
+    assert h.sfill_inv_sent == 1
+    assert (h.l1.find(0x2000, 0) is None) is design.squash_invalidation
+    assert h.l2.contains_addr(0x2000) is not design.squash_invalidation
+
+
+@pytest.mark.parametrize("name, spectre_leaks, aes_leaks",
+                         [("sa-lru+squash", False, True),
+                          ("star-news−squash", True, False)])
+def test_one_defense_alone_leaves_the_other_attack_class_open(
+        monkeypatch, name, spectre_leaks, aes_leaks):
+    # The paper's thesis on its cheapest cells: squash invalidation
+    # alone stops the Spectre flush-reload receiver but not flush-reload
+    # on AES, and a domain-gated random cache alone does the reverse.
+    monkeypatch.setitem(models.DESIGNS, name, TEST_DESIGNS[name])
+    cfg = RunConfig(model=name).validate()
+    for secret in (42, 200):
+        run = run_spectre(cfg, "fr-spectre", secret, trials=4)
+        assert run.recovered == (secret if spectre_leaks else None)
+    key = bytes(range(0x10, 0x20))
+    nibbles = run_flush_reload_aes(cfg, key, trials=1024).recovery.nibbles
+    if aes_leaks:
+        assert nibbles == [b >> 4 for b in key]
+    else:
+        assert nibbles == [None] * 16

@@ -2,7 +2,7 @@ import pytest
 
 from starcache.core import CacheGeometry, FlatMemory, Rng
 from starcache.hierarchy import Hierarchy
-from starcache.models import FarrCache, NewsCache, SetAssocLru
+from starcache.models import DESIGNS, FarrCache, NewsCache, SetAssocLru
 
 
 class _Lower:
@@ -353,7 +353,7 @@ def test_sfill_absent_propagates_only_deeper():
 def test_sfill_conventional_cache_ignores_message():
     # the baseline's conventional L1 never sees the message: its
     # speculative line stays, spec bit set, and nothing is counted
-    h = Hierarchy("sa-lru", CacheGeometry(64, 8, 2),
+    h = Hierarchy(DESIGNS["sa-lru"], CacheGeometry(64, 8, 2),
                   CacheGeometry(64, 32, 4), Rng(1))
     c = h.l1
     c.access(0x1000, 0, 1)

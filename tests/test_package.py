@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import starcache
+from starcache.models import DESIGNS, MODEL_NAMES
 
 SRC = os.path.dirname(os.path.dirname(starcache.__file__))
 
@@ -12,6 +13,11 @@ def test_every_export_is_unique_and_resolves():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(starcache, name)]
     assert not missing
+
+
+def test_model_names_are_the_design_table_keys_in_report_order():
+    # perfbench's sim_digest hashes the models in this order
+    assert MODEL_NAMES == tuple(DESIGNS) == ("sa-lru", "star-farr", "star-news")
 
 
 def test_import_loads_no_test_or_async_machinery():
