@@ -54,30 +54,17 @@ KEY_BYTES = 16
 LINE_BYTES = 64                  # every layout below steps 64 bytes a line
 
 
-@dataclass(slots=True)
-class AesTables:
-    """Four 256-entry tables of 4-byte words at line-aligned bases."""
-    base: int = AES_TABLE_BASE
-    stride: int = FR_REGION_STRIDE
-
-    def table_base(self, t: int) -> int:
-        return self.base + t * self.stride
-
-    def entry_addr(self, t: int, entry: int) -> int:
-        return self.table_base(t) + ENTRY_BYTES * (entry & 0xFF)
-
-
 def aes_first_round_accesses(key: bytes, input_block: bytes,
-                             tables: AesTables) -> list[int]:
+                             stride: int) -> list[int]:
     """Table addresses touched by the first round, in program order.
 
-    Byte position j indexes table j mod 4 at entry input[j] XOR key[j];
-    16 four-byte entries share one 64-byte line.
+    Byte position j indexes table j mod 4, the tables stride bytes apart
+    from AES_TABLE_BASE, at entry input[j] XOR key[j]; 16 share a line.
     """
     if len(key) != KEY_BYTES or len(input_block) != KEY_BYTES:
         raise ValueError("key and input are 16 bytes each")
-    return [tables.entry_addr(j % 4, key[j] ^ input_block[j])
-            for j in range(KEY_BYTES)]
+    return [AES_TABLE_BASE + stride * (j % 4) + ENTRY_BYTES * (k ^ x)
+            for j, (k, x) in enumerate(zip(key, input_block))]
 
 
 @dataclass
@@ -187,17 +174,33 @@ def _random_block(rng: Rng) -> bytes:
     return bytes(rng.choose(256) for _ in range(KEY_BYTES))
 
 
+def _probe(load, probe, vec: np.ndarray, rnoise: Rng, sigma: float) -> None:
+    """Time every (address, column) probe load, plus jitter when sigma
+    is set, and store the per-column sums in vec.  The sums run in Python
+    floats, in probe order, and reach vec in one assignment."""
+    acc = [0.0] * len(vec)
+    for addr, col in probe:
+        lat = load(addr, ATTACKER_DOMAIN).latency
+        if sigma:
+            lat += rnoise.gauss(0.0, sigma)
+        acc[col] += lat
+    vec[:] = acc
+
+
+def _aes_run(kind: str, config: RunConfig, key: bytes, trials: int,
+             seed: int, root: Rng, matrices: list, mode: str,
+             table_lo, fold_to: int | None = None) -> AttackRun:
+    """Vote every byte position's key nibble, byte j in the table window
+    that starts at column table_lo[j % 4], and score position 0."""
+    votes = [recover_nibble(m, mode, table_lo[j % 4], config.vote_threshold,
+                            fold_to=fold_to) for j, m in enumerate(matrices)]
+    score, floor = _maybe_scores(matrices[0], root.fork("floor"))
+    return AttackRun(kind, config.model, trials, seed, matrices[0], matrices,
+                     RecoveryResult(*map(list, zip(*votes))),
+                     score=score, floor=floor, params={"key": key.hex()})
+
+
 # -- AES flush-reload --
-
-def _reload(load, addrs, vec: np.ndarray, rnoise: Rng, sigma: float) -> None:
-    """Time a reload of every address (plus jitter when sigma is set)
-    into vec, one element per address."""
-    if sigma:
-        vec[:] = [load(addr, ATTACKER_DOMAIN).latency
-                  + rnoise.gauss(0.0, sigma) for addr in addrs]
-    else:
-        vec[:] = [load(addr, ATTACKER_DOMAIN).latency for addr in addrs]
-
 
 def run_flush_reload_aes(config: RunConfig, key: bytes,
                          trials: int | None = None,
@@ -213,37 +216,29 @@ def run_flush_reload_aes(config: RunConfig, key: bytes,
     rnoise = root.fork("noise")
     sigma = config.noise_sigma
 
-    tables = AesTables(AES_TABLE_BASE, FR_REGION_STRIDE)
-    region = [[tables.table_base(t) + LINE_BYTES * b
-               for b in range(FR_REGION_BLOCKS)] for t in range(4)]
+    # table t's region is columns 64t..64t+63 of one reload vector
+    probe = [(AES_TABLE_BASE + FR_REGION_STRIDE * t + LINE_BYTES * b,
+              FR_REGION_BLOCKS * t + b)
+             for t in range(4) for b in range(FR_REGION_BLOCKS)]
     matrices = [ObservationMatrix(256, FR_REGION_BLOCKS, "input_byte", "block")
                 for _ in range(KEY_BYTES)]
-    vecs = [np.empty(FR_REGION_BLOCKS) for _ in range(4)]
+    vec = np.empty(len(probe))
+    regions = np.split(vec, 4)       # views of vec, one per table
 
     load, flush = hier.load, hier.flush
     for _ in range(trials):
         block = _random_block(rin)
-        for addrs in region:
-            for addr in addrs:
-                flush(addr, ATTACKER_DOMAIN)
-        for addr in aes_first_round_accesses(key, block, tables):
+        for addr, _col in probe:
+            flush(addr, ATTACKER_DOMAIN)
+        for addr in aes_first_round_accesses(key, block, FR_REGION_STRIDE):
             load(addr, VICTIM_DOMAIN)
-        for addrs, vec in zip(region, vecs):
-            _reload(load, addrs, vec, rnoise, sigma)
-        decisions = [int(np.argmin(vecs[t][:TABLE_LINES])) for t in range(4)]
+        _probe(load, probe, vec, rnoise, sigma)
+        decisions = [int(np.argmin(r[:TABLE_LINES])) for r in regions]
         for j in range(KEY_BYTES):
-            matrices[j].record(block[j], vecs[j % 4], decisions[j % 4])
+            matrices[j].record(block[j], regions[j % 4], decisions[j % 4])
 
-    nibbles, shares = [], []
-    for j in range(KEY_BYTES):
-        n, s = recover_nibble(matrices[j], "dip", 0, config.vote_threshold)
-        nibbles.append(n)
-        shares.append(s)
-    score, floor = _maybe_scores(matrices[0], root.fork("floor"))
-    return AttackRun("fr-aes", config.model, trials, seed, matrices[0],
-                     matrices, RecoveryResult(nibbles, shares),
-                     score=score, floor=floor,
-                     params={"key": key.hex()})
+    return _aes_run("fr-aes", config, key, trials, seed, root, matrices,
+                    "dip", (0,) * 4)
 
 
 # -- prime-probe geometry --
@@ -273,19 +268,6 @@ def _pp_layout(config: RunConfig):
     return by_set, n_sets, cols, prime_addrs, probe
 
 
-def _probe(load, probe, vec: np.ndarray, rnoise: Rng, sigma: float) -> None:
-    """Time every probe load (plus jitter when sigma is set) and store
-    the per-column sums in vec.  The sums run in Python floats, in probe
-    order, and reach vec in one assignment."""
-    acc = [0.0] * len(vec)
-    for addr, col in probe:
-        lat = load(addr, ATTACKER_DOMAIN).latency
-        if sigma:
-            lat += rnoise.gauss(0.0, sigma)
-        acc[col] += lat
-    vec[:] = acc
-
-
 # -- AES prime-probe --
 
 def run_prime_probe_aes(config: RunConfig, key: bytes,
@@ -306,7 +288,6 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
     sigma = config.noise_sigma
 
     by_set, n_sets, cols, prime_addrs, probe = _pp_layout(config)
-    tables = AesTables(AES_TABLE_BASE, PP_TABLE_STRIDE)
     matrices = [ObservationMatrix(256, cols, "input_byte",
                                   "set" if by_set else "prime_position")
                 for _ in range(KEY_BYTES)]
@@ -317,7 +298,7 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
         block = _random_block(rin)
         for addr in prime_addrs:
             load(addr, ATTACKER_DOMAIN)
-        for addr in aes_first_round_accesses(key, block, tables):
+        for addr in aes_first_round_accesses(key, block, PP_TABLE_STRIDE):
             load(addr, VICTIM_DOMAIN)
         _probe(load, probe, vec, rnoise, sigma)
         folded = fold(vec, n_sets)
@@ -326,18 +307,8 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
         for j in range(KEY_BYTES):
             matrices[j].record(block[j], vec, decisions[j % 4])
 
-    nibbles, shares = [], []
-    for j in range(KEY_BYTES):
-        n, s = recover_nibble(matrices[j], "peak", 16 * (j % 4),
-                              config.vote_threshold,
-                              fold_to=None if by_set else n_sets)
-        nibbles.append(n)
-        shares.append(s)
-    score, floor = _maybe_scores(matrices[0], root.fork("floor"))
-    return AttackRun("pp-aes", config.model, trials, seed, matrices[0],
-                     matrices, RecoveryResult(nibbles, shares),
-                     score=score, floor=floor,
-                     params={"key": key.hex()})
+    return _aes_run("pp-aes", config, key, trials, seed, root, matrices,
+                    "peak", (0, 16, 32, 48), None if by_set else n_sets)
 
 
 # -- Spectre v1 --
@@ -369,17 +340,18 @@ def _spectre_fr_runs(config: RunConfig, secrets, trials: int, seed: int,
     engine = SpecEngine(hier, config.window_capacity,
                         config.clear_specbit_on_commit)
     sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
-    blocks = [SPECTRE_PROBE_BASE + LINE_BYTES * s for s in range(PROBE_BLOCKS)]
+    probe = [(SPECTRE_PROBE_BASE + LINE_BYTES * s, s)
+             for s in range(PROBE_BLOCKS)]
     matrix = ObservationMatrix(256, PROBE_BLOCKS, "secret", "block")
     vec = np.empty(PROBE_BLOCKS)
     flush, load = hier.flush, hier.load
     results = []
     for secret in secrets:
         for _ in range(trials):
-            for addr in blocks:
+            for addr, _col in probe:
                 flush(addr, ATTACKER_DOMAIN)
             _wrong_path(engine, secret, sender_dom, enter_wrong_path)
-            _reload(load, blocks, vec, rnoise, sigma)
+            _probe(load, probe, vec, rnoise, sigma)
             matrix.record(secret, vec, int(np.argmin(vec)))
         results.append(recover_byte(matrix.mean_latency()[secret], "dip",
                                     config.dip_threshold_cycles))

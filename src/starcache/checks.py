@@ -267,7 +267,8 @@ class LruReference:
         return False
 
 
-def check_lru_reference(quick: bool, traces: int = 10) -> CheckResult:
+def check_lru_reference(quick: bool) -> CheckResult:
+    traces = 3 if quick else 10
     events = 20_000 if quick else 100_000
     cfg = RunConfig(model="sa-lru").validate()
     footprint = 2048
@@ -309,7 +310,8 @@ def flat_replay_reference(events: list[tuple[str, int]],
     return {b: bytes(d) for b, d in mem.items() if any(d)}
 
 
-def check_flat_memory_oracle(quick: bool, traces: int = 10) -> CheckResult:
+def check_flat_memory_oracle(quick: bool) -> CheckResult:
+    traces = 3 if quick else 10
     events_per = 2_000 if quick else 5_000
     for t in range(traces):
         rng = Rng(107_000 + t)
@@ -415,15 +417,12 @@ def run_selftest(quick: bool = False,
     """Run every check; mutate names the MUTATIONS entry whose broken
     method is on NewsCache while its target check runs."""
     target, method, broken = MUTATIONS[mutate] if mutate else (None,) * 3
-    traces = 3 if quick else 10
     results = []
     for check in (check_farr_uniformity, check_news_uniformity,
                   check_cross_domain_no_hit, check_spec_conflict_no_trace,
-                  check_sfill_case_table,
-                  lambda q: check_lru_reference(q, traces=traces),
-                  lambda q: check_flat_memory_oracle(q, traces=traces),
-                  check_inclusion_replay, check_squash_fraction,
-                  check_determinism):
+                  check_sfill_case_table, check_lru_reference,
+                  check_flat_memory_oracle, check_inclusion_replay,
+                  check_squash_fraction, check_determinism):
         if check is not target:
             results.append(check(quick))
             continue

@@ -25,6 +25,9 @@ ENV_PREFIX = "STARCACHE_"
 # so the radius is at most sqrt(106 ln 2).  Under this bound a jittered
 # latency stays below 1e7 cycles, and no sum of them nears float overflow.
 MAX_NOISE_SIGMA = 1e6
+# A load costs at most three of these, so a probe's sum over 2**20 lines
+# stays an exact float, far from overflow.
+MAX_LATENCY_CYCLES = 10**6
 
 # the largest geometry validate accepts; its docstring gives the cost
 MAX_LINE_SIZE = 1 << 12
@@ -75,6 +78,9 @@ class RunConfig:
         for name in ("l1_hit_cycles", "l2_hit_cycles", "memory_cycles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+            if getattr(self, name) > MAX_LATENCY_CYCLES:
+                raise ConfigError(
+                    f"{name} must be at most {MAX_LATENCY_CYCLES}")
         if self.window_capacity < 1:
             raise ConfigError("window_capacity must be at least 1")
         if self.trials is not None and self.trials < 1:

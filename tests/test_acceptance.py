@@ -159,8 +159,8 @@ def test_c07_replacement_uniformity():
 
 
 def test_c08_correctness_oracles():
-    lru = checks.check_lru_reference(quick=False, traces=10)
-    flat = checks.check_flat_memory_oracle(quick=False, traces=10)
+    lru = checks.check_lru_reference(quick=False)
+    flat = checks.check_flat_memory_oracle(quick=False)
     incl = checks.check_inclusion_replay(quick=False)
     ok = lru.ok and flat.ok and incl.ok
     assert _report("C8", ok,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from starcache.attacks import (AesTables, AttackRun, aes_first_round_accesses,
-                               pp_experiment_config, run_flush_reload_aes,
-                               run_prime_probe_aes, run_spectre,
-                               run_spectre_sweep)
+from starcache.attacks import (AES_TABLE_BASE, FR_REGION_STRIDE, AttackRun,
+                               aes_first_round_accesses, pp_experiment_config,
+                               run_flush_reload_aes, run_prime_probe_aes,
+                               run_spectre, run_spectre_sweep)
 from starcache.config import ConfigError, RunConfig
 from starcache.observe import ObservationMatrix
 
@@ -17,17 +17,17 @@ def _cfg(model, **kw):
 
 
 def test_first_round_touch_pattern():
-    tables = AesTables()
-    addrs = aes_first_round_accesses(bytes([0x37] + [0] * 15), KEY_ZERO, tables)
+    addrs = aes_first_round_accesses(bytes([0x37] + [0] * 15), KEY_ZERO,
+                                     FR_REGION_STRIDE)
     assert len(addrs) == 16
     # position 0 reads table 0 entry 0x37, line 3 of the table
-    assert addrs[0] == tables.table_base(0) + 4 * 0x37
-    assert (addrs[0] - tables.table_base(0)) // 64 == 0x3
+    assert addrs[0] == AES_TABLE_BASE + 4 * 0x37
+    assert (addrs[0] - AES_TABLE_BASE) // 64 == 0x3
     # remaining positions read entry 0 of their table
-    assert addrs[4] == tables.table_base(0)
-    assert addrs[5] == tables.table_base(1)
+    assert addrs[4] == AES_TABLE_BASE
+    assert addrs[5] == AES_TABLE_BASE + FR_REGION_STRIDE
     with pytest.raises(ValueError):
-        aes_first_round_accesses(b"short", KEY_ZERO, tables)
+        aes_first_round_accesses(b"short", KEY_ZERO, FR_REGION_STRIDE)
 
 
 def test_fr_aes_recovers_high_nibbles_on_conventional():

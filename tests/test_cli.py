@@ -79,6 +79,21 @@ def test_attack_rejects_a_noise_sigma_that_would_overflow(tmp_path, capsys):
                  "--noise-sigma", "1e6", "--out", str(out)]) == 0
 
 
+def test_attack_rejects_a_latency_that_would_overflow(tmp_path, capsys):
+    # a 401-digit latency no float can hold, once summed into a probe
+    out = tmp_path / "o"
+    rc = main(["attack", "fr-spectre", "--trials", "1",
+               "--memory-cycles", "1" + "0" * 400, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starcache: error:")
+    assert "memory_cycles must be at most 1000000" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert main(["attack", "fr-spectre", "--trials", "1",
+                 "--memory-cycles", "1000000", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_write_json_refuses_a_non_finite_value(tmp_path, value):
     with pytest.raises(ValueError, match="JSON compliant"):

@@ -103,6 +103,10 @@ def test_missing_config_file():
      "l1_lines must be at most 1048576"),
     ({"line_size": 1 << 30, "l1_lines": 2, "l1_assoc": 2, "l2_lines": 2,
       "l2_assoc": 2}, "line_size must be at most 4096"),
+    # latencies the probe sums could not hold as floats
+    ({"l1_hit_cycles": 10**6 + 1}, "l1_hit_cycles must be at most 1000000"),
+    ({"l2_hit_cycles": 10**6 + 1}, "l2_hit_cycles must be at most 1000000"),
+    ({"memory_cycles": 10**400}, "memory_cycles must be at most 1000000"),
 ])
 def test_validation_rejections(kw, fragment):
     with pytest.raises(ConfigError) as info:

@@ -1,22 +1,27 @@
 import pytest
 
 from starcache import models
-from starcache.attacks import run_flush_reload_aes, run_spectre
+from starcache.attacks import (run_flush_reload_aes, run_prime_probe_aes,
+                               run_spectre)
 from starcache.checks import flat_replay_reference
 from starcache.config import RunConfig
 from starcache.core import CacheGeometry, Rng
 from starcache.engine import SpecEngine
 from starcache.hierarchy import Hierarchy
-from starcache.models import DESIGNS, Design, NewsCache, SetAssocLru
+from starcache.models import (DESIGNS, Design, FarrCache, NewsCache,
+                              SetAssocLru)
 from starcache.trace import parse_trace, replay
 
 # Designs that take one defense alone, for tests only.  sa-lru+squash
 # adds squash invalidation to the conventional cache, as CleanupSpec
-# does; star-news−squash keeps the randomized, domain-gated cache and
-# drops squash invalidation, as a Newcache-style design would.
+# does; star-farr−squash and star-news−squash keep the randomized,
+# domain-gated cache and drop squash invalidation, as a Newcache-style
+# design would.
 TEST_DESIGNS = {
     "sa-lru+squash": Design(SetAssocLru, own_domain_flush=False,
                             squash_invalidation=True),
+    "star-farr−squash": Design(FarrCache, own_domain_flush=True,
+                               squash_invalidation=False),
     "star-news−squash": Design(NewsCache, own_domain_flush=True,
                                squash_invalidation=False, k=4),
 }
@@ -475,6 +480,38 @@ def test_squash_scrubs_a_fresh_line_two_domains_loaded(model, first):
     assert not h.l2.contains_addr(a)
 
 
+ITEM_2 = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: a committed speculative load keeps spec_bit on "
+           "its L2 line, so a later squash of a reload drops that line")
+
+
+@pytest.mark.parametrize("wrong_path",
+                         [False, pytest.param(True, marks=ITEM_2)])
+@pytest.mark.parametrize("clear_on_commit", [False, True])
+@pytest.mark.parametrize("model", ["star-farr", "star-news"])
+def test_squash_leaves_a_committed_l2_line_alone(model, clear_on_commit,
+                                                 wrong_path):
+    # A squash undoes only what its own window did: a line that an
+    # earlier window brought in and committed stays in L2.
+    a = 0x1000
+    h = _hier(model, l1_lines=16, l1_assoc=2, l2_lines=256, l2_assoc=8,
+              debug_checks=True)
+    engine = SpecEngine(h, clear_specbit_on_commit=clear_on_commit)
+    engine.issue_barrier()
+    engine.issue_load(a, 0)
+    engine.commit_all()
+    for i in range(64):                # evict A from L1 only
+        h.load(0x2000 + 64 * i, 0)
+    assert not h.l1.contains_addr(a) and h.l2.contains_addr(a)
+    if wrong_path:
+        barrier = engine.issue_barrier()
+        engine.issue_load(a, 0)        # an L2 hit, then squashed
+        engine.squash_from(barrier.id)
+    out = h.load(a, 1)
+    assert (out.source_level, out.latency) == (2, 13)
+
+
 @pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
 def test_store_to_a_shared_fill_leaves_l2_and_memory_alone(model):
     a = 0x5000
@@ -545,22 +582,25 @@ def test_flush_and_squash_each_follow_their_own_flag(design):
     assert h.l2.contains_addr(0x2000) is not design.squash_invalidation
 
 
-@pytest.mark.parametrize("name, spectre_leaks, aes_leaks",
+@pytest.mark.parametrize("name, spectre_leaks, conventional_leaks",
                          [("sa-lru+squash", False, True),
-                          ("star-news−squash", True, False)])
+                          ("star-news−squash", True, False),
+                          ("star-farr−squash", True, False)])
 def test_one_defense_alone_leaves_the_other_attack_class_open(
-        monkeypatch, name, spectre_leaks, aes_leaks):
+        monkeypatch, name, spectre_leaks, conventional_leaks):
     # The paper's thesis on its cheapest cells: squash invalidation
-    # alone stops the Spectre flush-reload receiver but not flush-reload
-    # on AES, and a domain-gated random cache alone does the reverse.
+    # alone stops the Spectre flush-reload receiver but not the
+    # conventional channels, and a domain-gated random cache alone does
+    # the reverse.  A prime-probe receiver of the Spectre wrong path is a
+    # conventional channel: no squash refills the primed line it evicted.
     monkeypatch.setitem(models.DESIGNS, name, TEST_DESIGNS[name])
     cfg = RunConfig(model=name).validate()
     for secret in (42, 200):
         run = run_spectre(cfg, "fr-spectre", secret, trials=4)
         assert run.recovered == (secret if spectre_leaks else None)
+        run = run_spectre(cfg, "pp-spectre", secret, trials=32)
+        assert run.recovered == (secret if conventional_leaks else None)
     key = bytes(range(0x10, 0x20))
-    nibbles = run_flush_reload_aes(cfg, key, trials=1024).recovery.nibbles
-    if aes_leaks:
-        assert nibbles == [b >> 4 for b in key]
-    else:
-        assert nibbles == [None] * 16
+    want = [b >> 4 for b in key] if conventional_leaks else [None] * 16
+    for run_aes in (run_flush_reload_aes, run_prime_probe_aes):
+        assert run_aes(cfg, key, trials=1024).recovery.nibbles == want
