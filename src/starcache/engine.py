@@ -17,27 +17,17 @@ those invalidations; execution resumes as soon as they are sent.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .hierarchy import Hierarchy
 
-
-class EntryKind(enum.Enum):
-    LOAD = "load"
-    STORE = "store"
-    BARRIER = "barrier"
-
-
-_LOAD = EntryKind.LOAD
-_STORE = EntryKind.STORE
-_BARRIER = EntryKind.BARRIER
+_LOAD, _STORE, _BARRIER = "load", "store", "barrier"    # window entry kinds
 
 
 @dataclass(slots=True)
 class WindowEntry:
     id: int
-    kind: EntryKind
+    kind: str
     addr: int | None
     domain: int | None
     spec_bit: int = 0

@@ -68,7 +68,7 @@ class Hierarchy:
                 raise ValueError(f"{name} must be at least 1, got {lat}")
         if l1_geometry.line_size != l2_geometry.line_size:
             raise ValueError("levels must share one line size")
-        self.own_domain_flush = design.own_domain_flush
+        self.domain_gated = design.l1.domain_gated
         self.squash_invalidation = design.squash_invalidation
         self.debug_checks = debug_checks
         self.memory = FlatMemory(l1_geometry.line_size)
@@ -130,14 +130,14 @@ class Hierarchy:
     def flush(self, addr: int, domain: int) -> bool:
         """Invalidate addr's line, writing dirty data back to memory.
 
-        Without own_domain_flush (the baseline) a flush removes whatever
-        copy is resident, as a flush instruction would.  With it only
-        the caller's own copies go, and the L2 line, whoever owns it,
-        stays while another domain's L1 copy of it remains: inclusion
-        needs it, and recalling that copy would let one domain evict
-        another's line."""
+        Under an L1 that is not domain_gated (the baseline) a flush
+        removes whatever copy is resident, as a flush instruction would.
+        Under a gated one only the caller's own copies go, and the L2
+        line, whoever owns it, stays while another domain's L1 copy of
+        it remains: inclusion needs it, and recalling that copy would
+        let one domain evict another's line."""
         self.flushes += 1
-        own_only = self.own_domain_flush
+        own_only = self.domain_gated
         l1 = self.l1
         l1rec = l1.flush_line(addr, domain, own_only)
         if own_only and l1.contains_addr(addr & self._line_mask):

@@ -3,12 +3,12 @@ the defenses its hierarchy turns on.
 
 sa-lru      SetAssocLru: set-associative, LRU, blind to domains.  The
             insecure baseline, whose record turns squash invalidation
-            and domain-restricted flushes off; also the L2 model.
+            off; also the L2 model.
 star-farr   FarrCache: fully associative, uniform random replacement.
 star-news   NewsCache: randomized mapping over log2(line_count) + k
             index bits, forward-without-fill on speculative conflicts.
-Both star classes hit (and flush) only on a tag and domain match, so
-one domain can never hit or flush another domain's lines.
+Both star classes are domain_gated: a hit or flush needs a tag and
+domain match, so no domain hits or flushes another domain's lines.
 
 Every model keeps a spec_bit per line: set when the line was filled by a
 speculative load, cleared by the first non-speculative touch.  Lines
@@ -82,15 +82,35 @@ class CacheLineMeta:
         self.data = data
 
 
-class SetAssocLru:
+class _Level:
+    """The squash-invalidation rule, once for every level, and its
+    counters.  domain_gated: hits and flushes see only the caller's own
+    lines; the hierarchy flushes L2 the way its L1 is gated."""
+
+    domain_gated = False
+    inval_dropped_case_i = 0
+    tagmiss_forward_nofill = 0
+
+    def handle_sfill_inv(self, addr: int, domain: int,
+                         source_level: int) -> bool:
+        rec = self.find(addr, domain)
+        if rec is not None:
+            if not rec.spec_bit:
+                self.inval_dropped_case_i += 1
+                return False
+            assert not rec.dirty, "speculative line must be clean"
+            self.flush_line(addr, domain, True)
+        # fell through: either invalidated or not resident here
+        return source_level > self.level
+
+
+class SetAssocLru(_Level):
     """Conventional set-associative LRU cache.
 
     Hits ignore the requesting domain, and a set holds one copy of a
     base, so nothing is forwarded without a fill.  It takes an rng, as
     every L1 class does, and draws nothing from it.
     """
-
-    tagmiss_forward_nofill = 0
 
     def __init__(self, geometry: CacheGeometry, lower, rng: Rng | None = None,
                  level: int = 1):
@@ -105,7 +125,6 @@ class SetAssocLru:
         self._assoc = geometry.associativity
         # per-set OrderedDict keyed by line base; insertion end is MRU
         self._sets = [OrderedDict() for _ in range(geometry.set_count)]
-        self.inval_dropped_case_i = 0
         # set by the hierarchy when this cache backs an upper level;
         # called after an eviction so the upper copy can be recalled
         self.on_evict = None
@@ -194,22 +213,8 @@ class SetAssocLru:
         del od[base]
         return rec
 
-    def handle_sfill_inv(self, addr: int, domain: int,
-                         source_level: int) -> bool:
-        base = addr & self._line_mask
-        od = self._sets[(base >> self._offset_bits) & self._setmask]
-        rec = od.get(base)
-        if rec is not None and rec.domain == domain:
-            if not rec.spec_bit:
-                self.inval_dropped_case_i += 1
-                return False
-            assert not rec.dirty, "speculative line must be clean"
-            del od[base]
-        # fell through: either invalidated or not resident here
-        return source_level > self.level
 
-
-class NewsCache:
+class NewsCache(_Level):
     """Randomized-mapping cache with random replacement.
 
     Lookup walks a mapping array keyed by (domain, index), where the
@@ -230,6 +235,8 @@ class NewsCache:
     fills where they always landed.
     """
 
+    domain_gated = True
+
     def __init__(self, geometry: CacheGeometry, lower, rng: Rng,
                  level: int = 1):
         self.geom = geometry
@@ -245,8 +252,6 @@ class NewsCache:
         self._free = list(range(n - 1, -1, -1))
         self._keys: dict[tuple[int, int], int] = {}   # mapping entry -> slot
         self._at: dict[int, list[int]] = {}           # base -> slots
-        self.inval_dropped_case_i = 0
-        self.tagmiss_forward_nofill = 0
 
     def contains_addr(self, base: int) -> bool:
         return base in self._at
@@ -387,19 +392,6 @@ class NewsCache:
         slot = self._slot_of(addr, domain)
         return None if slot is None else self._release(slot)
 
-    def handle_sfill_inv(self, addr: int, domain: int,
-                         source_level: int) -> bool:
-        slot = self._slot_of(addr, domain)
-        if slot is not None:
-            rec = self._slots[slot]
-            if not rec.spec_bit:
-                self.inval_dropped_case_i += 1
-                return False
-            assert not rec.dirty, "speculative line must be clean"
-            self._release(slot)
-        # fell through: either invalidated or not resident here
-        return source_level > self.level
-
 
 class FarrCache(NewsCache):
     """Fully associative cache, uniform random replacement, domain-checked
@@ -414,25 +406,18 @@ class FarrCache(NewsCache):
 
 
 class Design(NamedTuple):
-    """One L1 design, immutable.  own_domain_flush limits a flush to the
-    caller's own copies; without squash_invalidation the hierarchy
-    counts each squash invalidation and drops it; k is the default
-    count of extra index bits, None for a design that takes none.
-
-    A random-slot L1 always flushes by domain (NewsCache.flush_line
-    ignores own_domain_only), so own_domain_flush=False only makes sense
-    with SetAssocLru.  Paired with NewsCache, a cross-domain flush would
-    drop an L2 line that another domain's L1 copy still needs for
-    inclusion."""
+    """One L1 design, immutable.  Its L1 class decides whether flushes
+    stay in a domain (domain_gated); without squash_invalidation the
+    hierarchy counts each squash invalidation and drops it; k is the
+    default count of extra index bits, None for a design that takes none."""
 
     l1: type        # built as l1(geometry, lower, rng, level=1)
-    own_domain_flush: bool
     squash_invalidation: bool
     k: int | None = None
 
 
 # model name -> design, in the order every report runs them
-DESIGNS = {"sa-lru": Design(SetAssocLru, False, False),
-           "star-farr": Design(FarrCache, True, True),
-           "star-news": Design(NewsCache, True, True, k=4)}
+DESIGNS = {"sa-lru": Design(SetAssocLru, False),
+           "star-farr": Design(FarrCache, True),
+           "star-news": Design(NewsCache, True, k=4)}
 MODEL_NAMES = tuple(DESIGNS)

@@ -3,7 +3,7 @@ import pytest
 from starcache import models
 from starcache.attacks import (run_flush_reload_aes, run_prime_probe_aes,
                                run_spectre)
-from starcache.checks import flat_replay_reference
+from starcache.checks import MUTATIONS, flat_replay_reference
 from starcache.config import RunConfig
 from starcache.core import CacheGeometry, Rng
 from starcache.engine import SpecEngine
@@ -18,12 +18,9 @@ from starcache.trace import parse_trace, replay
 # domain-gated cache and drop squash invalidation, as a Newcache-style
 # design would.
 TEST_DESIGNS = {
-    "sa-lru+squash": Design(SetAssocLru, own_domain_flush=False,
-                            squash_invalidation=True),
-    "star-farr−squash": Design(FarrCache, own_domain_flush=True,
-                               squash_invalidation=False),
-    "star-news−squash": Design(NewsCache, own_domain_flush=True,
-                               squash_invalidation=False, k=4),
+    "sa-lru+squash": Design(SetAssocLru, squash_invalidation=True),
+    "star-farr−squash": Design(FarrCache, squash_invalidation=False),
+    "star-news−squash": Design(NewsCache, squash_invalidation=False, k=4),
 }
 
 
@@ -566,11 +563,11 @@ def test_flush_and_squash_each_follow_their_own_flag(design):
     h = Hierarchy(design, CacheGeometry(64, 16, 4, design.k or 0),
                   CacheGeometry(64, 64, 4), Rng(1), debug_checks=True)
     # a domain-0 flush of domain 1's line removes it, at both levels,
-    # exactly when flushes cross domains
+    # exactly when the L1 class does not gate by domain
     h.load(0x1000, 1)
     h.flush(0x1000, 0)
-    assert (h.l1.find(0x1000, 1) is None) is not design.own_domain_flush
-    assert h.l2.contains_addr(0x1000) is design.own_domain_flush
+    assert (h.l1.find(0x1000, 1) is None) is not design.l1.domain_gated
+    assert h.l2.contains_addr(0x1000) is design.l1.domain_gated
     # a squashed wrong-path fill leaves exactly when the L1 acts on
     # squash invalidation; the request is sent either way
     engine = SpecEngine(h)
@@ -603,4 +600,52 @@ def test_one_defense_alone_leaves_the_other_attack_class_open(
     key = bytes(range(0x10, 0x20))
     want = [b >> 4 for b in key] if conventional_leaks else [None] * 16
     for run_aes in (run_flush_reload_aes, run_prime_probe_aes):
+        assert run_aes(cfg, key, trials=1024).recovery.nibbles == want
+
+
+class _DomainBlind:
+    """Hits keyed as domain 0 for every access: the domain gate off."""
+
+    def access(self, addr, domain, spec_bit, value=None):
+        return super().access(addr, 0, spec_bit, value)
+
+
+class _FixedVictim:
+    """The first valid slot as every victim: random replacement off."""
+
+    _random_valid_slot = MUTATIONS["farr-fixed-victim"][2]
+
+
+# The hardened designs with one mechanism of the randomized cache taken
+# out; squash invalidation stays on.
+ABLATIONS = {
+    f"{model}-{tag}": Design(type(mixin.__name__[1:] + l1.__name__,
+                                  (mixin, l1), {}), True, k)
+    for model, (l1, _, k) in DESIGNS.items() if l1 is not SetAssocLru
+    for tag, mixin in (("domain-blind", _DomainBlind),
+                       ("fixed-victim", _FixedVictim))}
+
+
+@pytest.mark.parametrize("name, fr_aes, pp_aes", [
+    ("star-farr-domain-blind", True, False),
+    ("star-news-domain-blind", True, True),
+    ("star-farr-fixed-victim", False, False),
+    ("star-news-fixed-victim", False, False)])
+def test_single_mechanism_ablations(monkeypatch, name, fr_aes, pp_aes):
+    # Domain-blind hits reopen flush-reload AES on both models, and
+    # prime-probe AES only where NEWS's narrow mapping makes conflicts;
+    # squash invalidation still closes both Spectre receivers.  No
+    # attack here depends on random replacement: a fixed victim leaves
+    # all four closed, and only C7's uniformity test catches it.
+    monkeypatch.setitem(models.DESIGNS, name, ABLATIONS[name])
+    cfg = RunConfig(model=name).validate()
+    assert type(cfg.build_hierarchy(Rng(1)).l1) is ABLATIONS[name].l1
+    for secret in (42, 200):
+        for kind, trials in (("fr-spectre", 4), ("pp-spectre", 32)):
+            run = run_spectre(cfg, kind, secret, trials=trials)
+            assert run.recovered is None, (kind, secret)
+    key = bytes(range(0x10, 0x20))
+    for run_aes, leaks in ((run_flush_reload_aes, fr_aes),
+                           (run_prime_probe_aes, pp_aes)):
+        want = [b >> 4 for b in key] if leaks else [None] * 16
         assert run_aes(cfg, key, trials=1024).recovery.nibbles == want

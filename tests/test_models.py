@@ -318,13 +318,18 @@ def test_news_dirty_conflict_writes_back():
 
 # -- squash invalidation handling --
 
+# every level class runs the one shared handler through its own
+# domain-aware find: the set-associative cache as L2, FARR and NEWS as L1
+_SFILL_LEVELS = (lambda: _lru(level=2), _farr, _news)
+
+
 def _filled(cache, addr, spec):
     cache.access(addr, 0, spec)
     return cache
 
 
 def test_sfill_nonspec_line_drops_and_counts():
-    for make in (lambda: _lru(level=2), _farr, _news):
+    for make in _SFILL_LEVELS:
         c = _filled(make(), 0x1000, 0)
         assert c.handle_sfill_inv(0x1000, 0, 3) is False
         assert c.find(0x1000, 0) is not None
@@ -332,7 +337,7 @@ def test_sfill_nonspec_line_drops_and_counts():
 
 
 def test_sfill_spec_line_invalidated_then_propagates_by_source():
-    for make in (lambda: _lru(level=2), _farr, _news):
+    for make in _SFILL_LEVELS:
         c = _filled(make(), 0x1000, 1)
         level = c.level
         propagates = c.handle_sfill_inv(0x1000, 0, 3)
@@ -342,12 +347,10 @@ def test_sfill_spec_line_invalidated_then_propagates_by_source():
 
 
 def test_sfill_absent_propagates_only_deeper():
-    c = _farr()
-    assert c.handle_sfill_inv(0x1000, 0, 2) is True
-    assert c.handle_sfill_inv(0x1000, 0, 3) is True
-    c2 = _lru(level=2)
-    assert c2.handle_sfill_inv(0x1000, 0, 2) is False
-    assert c2.handle_sfill_inv(0x1000, 0, 3) is True
+    for make in _SFILL_LEVELS:
+        c = make()
+        assert c.handle_sfill_inv(0x1000, 0, 2) is (2 > c.level)
+        assert c.handle_sfill_inv(0x1000, 0, 3) is True
 
 
 def test_sfill_conventional_cache_ignores_message():
@@ -363,10 +366,13 @@ def test_sfill_conventional_cache_ignores_message():
 
 
 def test_sfill_wrong_domain_treated_as_absent():
-    c = _farr()
-    c.access(0x1000, 1, 1)
-    assert c.handle_sfill_inv(0x1000, 0, 3) is True
-    assert c.find(0x1000, 1) is not None
+    for make in _SFILL_LEVELS:
+        c = make()
+        c.access(0x1000, 1, 1)
+        assert c.handle_sfill_inv(0x1000, 0, 2) is (2 > c.level)
+        assert c.handle_sfill_inv(0x1000, 0, 3) is True
+        assert c.find(0x1000, 1) is not None
+        assert c.inval_dropped_case_i == 0
 
 
 def test_lru_rejects_extra_index_bits():
