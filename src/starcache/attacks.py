@@ -69,11 +69,10 @@ def aes_first_round_accesses(key: bytes, input_block: bytes,
 
 @dataclass
 class AttackRun:
-    """Everything one harness invocation produced."""
+    """Everything one harness invocation produced, and the config it ran."""
     attack: str
-    model: str
+    config: RunConfig
     trials: int
-    seed: int
     matrix: ObservationMatrix
     matrices: list | None = None
     recovery: RecoveryResult | None = None
@@ -84,8 +83,8 @@ class AttackRun:
     params: dict = field(default_factory=dict)
 
     def summary(self) -> dict:
-        out = {"attack": self.attack, "model": self.model,
-               "trials": self.trials, "seed": self.seed}
+        out = {"attack": self.attack, "model": self.config.model,
+               "trials": self.trials, "seed": self.config.seed}
         out.update(self.params)
         if self.recovery is not None:
             out.update(self.recovery.as_summary())
@@ -102,11 +101,10 @@ class AttackRun:
 
 @dataclass
 class SweepRun:
-    """One attack repeated over every secret byte value."""
+    """One attack over every secret byte value, and the config it ran."""
     attack: str
-    model: str
+    config: RunConfig
     trials_per_secret: int
-    seed: int
     matrix: ObservationMatrix
     recovered: list = field(default_factory=list)
     margins: list = field(default_factory=list)
@@ -122,9 +120,9 @@ class SweepRun:
         return sum(1 for r in self.recovered if r is None)
 
     def summary(self) -> dict:
-        return {"attack": self.attack, "model": self.model,
+        return {"attack": self.attack, "model": self.config.model,
                 "trials_per_secret": self.trials_per_secret,
-                "seed": self.seed,
+                "seed": self.config.seed,
                 "exact": self.exact_count, "none": self.none_count,
                 "leakage_score_bits": None if self.score is None
                 else round(self.score, 6),
@@ -138,15 +136,14 @@ def _maybe_scores(matrix: ObservationMatrix, rng: Rng):
     return leakage_score(matrix), noise_floor(matrix, seed=rng.next_u64())
 
 
-def _trials_seed(config: RunConfig, trials: int | None, seed: int | None,
-                 default_trials: int) -> tuple[int, int]:
-    """Explicit arguments win, then the config, then the harness default."""
-    return (trials if trials is not None else (config.trials or default_trials),
-            config.seed if seed is None else seed)
+def _trials(config: RunConfig, trials: int | None, default: int) -> int:
+    """An explicit count wins, then the config, then the harness default."""
+    return trials if trials is not None else (config.trials or default)
 
 
-def check_geometry(config: RunConfig, kind: str) -> None:
-    """Refuse a geometry the harness layouts do not fit.
+def check_geometry(config: RunConfig, kind: str) -> RunConfig:
+    """Return the config kind runs (pp-spectre: its experiment geometry),
+    or refuse a geometry the harness layouts do not fit.
 
     Every harness places its table entries, probe blocks and prime lines
     LINE_BYTES apart, and a prime-probe receiver reads one L1 set per
@@ -168,6 +165,7 @@ def check_geometry(config: RunConfig, kind: str) -> None:
         raise ConfigError(f"{kind} needs at least {need} L1 sets; l1_lines "
                           f"{config.l1_lines} at l1_assoc {config.l1_assoc} "
                           f"gives {sets}")
+    return config
 
 
 def _random_block(rng: Rng) -> bytes:
@@ -188,14 +186,14 @@ def _probe(load, probe, vec: np.ndarray, rnoise: Rng, sigma: float) -> None:
 
 
 def _aes_run(kind: str, config: RunConfig, key: bytes, trials: int,
-             seed: int, root: Rng, matrices: list, mode: str,
+             root: Rng, matrices: list, mode: str,
              table_lo, fold_to: int | None = None) -> AttackRun:
     """Vote every byte position's key nibble, byte j in the table window
     that starts at column table_lo[j % 4], and score position 0."""
     votes = [recover_nibble(m, mode, table_lo[j % 4], config.vote_threshold,
                             fold_to=fold_to) for j, m in enumerate(matrices)]
     score, floor = _maybe_scores(matrices[0], root.fork("floor"))
-    return AttackRun(kind, config.model, trials, seed, matrices[0], matrices,
+    return AttackRun(kind, config, trials, matrices[0], matrices,
                      RecoveryResult(*map(list, zip(*votes))),
                      score=score, floor=floor, params={"key": key.hex()})
 
@@ -203,14 +201,13 @@ def _aes_run(kind: str, config: RunConfig, key: bytes, trials: int,
 # -- AES flush-reload --
 
 def run_flush_reload_aes(config: RunConfig, key: bytes,
-                         trials: int | None = None,
-                         seed: int | None = None) -> AttackRun:
+                         trials: int | None = None) -> AttackRun:
     """Flush the monitored regions, let the victim do one first round,
     reload and time.  Victim and attacker sit in different domains and
     share the table addresses read-only."""
-    check_geometry(config, "fr-aes")
-    trials, seed = _trials_seed(config, trials, seed, FR_AES_TRIALS)
-    root = Rng(seed).fork("fr-aes")
+    config = check_geometry(config, "fr-aes")
+    trials = _trials(config, trials, FR_AES_TRIALS)
+    root = Rng(config.seed).fork("fr-aes")
     hier = config.build_hierarchy(root.fork("hier"))
     rin = root.fork("inputs")
     rnoise = root.fork("noise")
@@ -237,7 +234,7 @@ def run_flush_reload_aes(config: RunConfig, key: bytes,
         for j in range(KEY_BYTES):
             matrices[j].record(block[j], regions[j % 4], decisions[j % 4])
 
-    return _aes_run("fr-aes", config, key, trials, seed, root, matrices,
+    return _aes_run("fr-aes", config, key, trials, root, matrices,
                     "dip", (0,) * 4)
 
 
@@ -271,17 +268,16 @@ def _pp_layout(config: RunConfig):
 # -- AES prime-probe --
 
 def run_prime_probe_aes(config: RunConfig, key: bytes,
-                        trials: int | None = None,
-                        seed: int | None = None) -> AttackRun:
+                        trials: int | None = None) -> AttackRun:
     """Prime every line, run the victim, probe and time the evictions.
 
     On the conventional model the probe is charged per set; on the
     randomized models there are no attacker-visible sets, so each prime
     position is its own column and recovery folds them back onto the
     conventional layout hypothesis."""
-    check_geometry(config, "pp-aes")
-    trials, seed = _trials_seed(config, trials, seed, PP_AES_TRIALS)
-    root = Rng(seed).fork("pp-aes")
+    config = check_geometry(config, "pp-aes")
+    trials = _trials(config, trials, PP_AES_TRIALS)
+    root = Rng(config.seed).fork("pp-aes")
     hier = config.build_hierarchy(root.fork("hier"))
     rin = root.fork("inputs")
     rnoise = root.fork("noise")
@@ -307,7 +303,7 @@ def run_prime_probe_aes(config: RunConfig, key: bytes,
         for j in range(KEY_BYTES):
             matrices[j].record(block[j], vec, decisions[j % 4])
 
-    return _aes_run("pp-aes", config, key, trials, seed, root, matrices,
+    return _aes_run("pp-aes", config, key, trials, root, matrices,
                     "peak", (0, 16, 32, 48), None if by_set else n_sets)
 
 
@@ -328,12 +324,12 @@ def _wrong_path(engine: SpecEngine, secret: int, domain: int,
     engine.squash_from(barrier.id)
 
 
-def _spectre_fr_runs(config: RunConfig, secrets, trials: int, seed: int,
-                     label: str, same_domain: bool, enter_wrong_path: bool):
+def _spectre_fr_runs(config: RunConfig, secrets, trials: int, label: str,
+                     same_domain: bool, enter_wrong_path: bool):
     """Per trial: flush the probe blocks, run the wrong path, reload and
     time.  Returns the root RNG, the matrix and one (recovered, margin)
     pair per secret."""
-    root = Rng(seed).fork(label)
+    root = Rng(config.seed).fork(label)
     hier = config.build_hierarchy(root.fork("hier"))
     rnoise = root.fork("noise")
     sigma = config.noise_sigma
@@ -358,17 +354,17 @@ def _spectre_fr_runs(config: RunConfig, secrets, trials: int, seed: int,
     return root, matrix, results
 
 
-def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
-                     label: str, same_domain: bool, enter_wrong_path: bool):
+def _spectre_pp_runs(config: RunConfig, secrets, trials: int, label: str,
+                     same_domain: bool, enter_wrong_path: bool):
     """Per trial: prime, wrong path, squash, probe.
 
     The receiver cannot flush, so unrelated eviction peaks stay in the
     measurement; a secret-independent baseline is measured first with
     the sender running its trained in-bounds path on a separate
-    instance, and recovery works on the difference.  Returns what
+    instance, and recovery works on the difference over the
+    PROBE_BLOCKS sets a secret can select.  Returns what
     _spectre_fr_runs does."""
-    config = pp_experiment_config(config)
-    root = Rng(seed).fork(label)
+    root = Rng(config.seed).fork(label)
     rnoise = root.fork("noise")
     sigma = config.noise_sigma
     sender_dom = ATTACKER_DOMAIN if same_domain else VICTIM_DOMAIN
@@ -385,7 +381,7 @@ def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
                     sender_dom)
         _probe(hier_b.load, probe, vec, rnoise, sigma)
         base_sum += vec
-    base_fold = fold(base_sum / trials, n_sets)
+    base_fold = fold(base_sum / trials, n_sets)[:PROBE_BLOCKS]
 
     hier = config.build_hierarchy(root.fork("hier"))
     engine = SpecEngine(hier, config.window_capacity,
@@ -399,9 +395,10 @@ def _spectre_pp_runs(config: RunConfig, secrets, trials: int, seed: int,
                 hier.load(addr, ATTACKER_DOMAIN)
             _wrong_path(engine, secret, sender_dom, enter_wrong_path)
             _probe(hier.load, probe, vec, rnoise, sigma)
-            matrix.record(secret, vec,
-                          int(np.argmax(fold(vec, n_sets) - base_fold)))
-        diff = fold(matrix.mean_latency()[secret], n_sets) - base_fold
+            folded = fold(vec, n_sets)[:PROBE_BLOCKS]
+            matrix.record(secret, vec, int(np.argmax(folded - base_fold)))
+        diff = (fold(matrix.mean_latency()[secret], n_sets)[:PROBE_BLOCKS]
+                - base_fold)
         results.append(recover_byte(diff, "peak", config.dip_threshold_cycles))
     return root, matrix, results
 
@@ -420,8 +417,7 @@ def _spectre_receiver(kind: str):
 
 
 def run_spectre(config: RunConfig, kind: str, secret: int,
-                trials: int | None = None, seed: int | None = None,
-                same_domain: bool = True,
+                trials: int | None = None, same_domain: bool = True,
                 enter_wrong_path: bool = True) -> AttackRun:
     """Spectre v1 for one secret byte, received by flush-reload
     (fr-spectre) or by prime-probe on the two-way experiment geometry
@@ -429,11 +425,11 @@ def run_spectre(config: RunConfig, kind: str, secret: int,
     runs, default_trials = _spectre_receiver(kind)
     if not 0 <= secret <= 255:
         raise ConfigError(f"secret must be one byte (0..255), got {secret}")
-    check_geometry(config, kind)
-    trials, seed = _trials_seed(config, trials, seed, default_trials)
+    config = check_geometry(config, kind)
+    trials = _trials(config, trials, default_trials)
     _, matrix, [(recovered, margin)] = runs(
-        config, [secret], trials, seed, kind, same_domain, enter_wrong_path)
-    return AttackRun(kind, config.model, trials, seed, matrix,
+        config, [secret], trials, kind, same_domain, enter_wrong_path)
+    return AttackRun(kind, config, trials, matrix,
                      recovered=recovered, margin=margin,
                      params={"secret": secret, "same_domain": same_domain,
                              "wrong_path": enter_wrong_path})
@@ -441,16 +437,14 @@ def run_spectre(config: RunConfig, kind: str, secret: int,
 
 def run_spectre_sweep(config: RunConfig, kind: str,
                       trials_per_secret: int | None = None,
-                      seed: int | None = None,
                       same_domain: bool = True) -> SweepRun:
     """run_spectre over every secret value on one shared hierarchy;
     pp-spectre measures its secret-independent baseline once."""
     runs, default_trials = _spectre_receiver(kind)
-    check_geometry(config, kind)
-    trials, seed = _trials_seed(config, trials_per_secret, seed,
-                                default_trials)
-    root, matrix, results = runs(config, range(256), trials, seed,
-                                 f"{kind}-sweep", same_domain, True)
-    return SweepRun(kind, config.model, trials, seed, matrix,
+    config = check_geometry(config, kind)
+    trials = _trials(config, trials_per_secret, default_trials)
+    root, matrix, results = runs(config, range(256), trials, f"{kind}-sweep",
+                                 same_domain, True)
+    return SweepRun(kind, config, trials, matrix,
                     [r for r, _ in results], [m for _, m in results],
                     *_maybe_scores(matrix, root.fork("floor")))

@@ -87,6 +87,15 @@ def _parse_key(text: str) -> bytes:
     return key
 
 
+def _write_run(run, base: str, extra: dict) -> list[tuple[str, str]]:
+    """Write a run's matrix CSV and summary JSON, echoing run.config."""
+    cfg = run.config
+    header = _echo(cfg, {"attack": run.attack, "run_seed": cfg.seed, **extra})
+    run.matrix.write_csv(_out_path(cfg, f"{base}-matrix.csv"), header)
+    _write_json(_out_path(cfg, f"{base}-summary.json"), run.summary())
+    return header
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg = _load(args)
     kind = args.kind
@@ -98,15 +107,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         run = attacks.run_spectre(cfg, kind, args.secret,
                                   same_domain=not args.cross_domain,
                                   enter_wrong_path=not args.skip_wrong_path)
-    if kind == "pp-spectre":
-        # that harness pins its own l1 geometry; echo what actually ran
-        cfg = attacks.pp_experiment_config(cfg)
-    summary = run.summary()
-    header = _echo(cfg, {"attack": kind, "run_trials": run.trials,
-                         "run_seed": run.seed})
-    run.matrix.write_csv(_out_path(cfg, f"{kind}-{cfg.model}-matrix.csv"),
-                         header)
-    _write_json(_out_path(cfg, f"{kind}-{cfg.model}-summary.json"), summary)
+    _write_run(run, f"{kind}-{cfg.model}", {"run_trials": run.trials})
     print(f"{kind} on {cfg.model}: {run.trials} trials")
     if run.recovery is not None:
         for line in run.recovery.as_text():
@@ -125,18 +126,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     kind = args.kind
     run = attacks.run_spectre_sweep(cfg, kind,
                                     same_domain=not args.cross_domain)
-    if kind == "pp-spectre":
-        cfg = attacks.pp_experiment_config(cfg)
-    header = _echo(cfg, {"attack": kind, "sweep": "secret 0..255",
-                         "run_trials": run.trials_per_secret,
-                         "run_seed": run.seed})
     base = f"{kind}-sweep-{cfg.model}"
+    header = _write_run(run, base, {"sweep": "secret 0..255",
+                                    "run_trials": run.trials_per_secret})
     write_csv(_out_path(cfg, f"{base}-secrets.csv"), header,
               ("secret", "recovered", "margin"),
               ((s, "NONE" if got is None else got, margin) for s, (got, margin)
                in enumerate(zip(run.recovered, run.margins))))
-    run.matrix.write_csv(_out_path(cfg, f"{base}-matrix.csv"), header)
-    _write_json(_out_path(cfg, f"{base}-summary.json"), run.summary())
     print(f"{kind} sweep on {cfg.model}: "
           f"{run.exact_count}/256 exact, {run.none_count}/256 abstained")
     return 0

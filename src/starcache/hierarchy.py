@@ -137,13 +137,13 @@ class Hierarchy:
         it remains: inclusion needs it, and recalling that copy would
         let one domain evict another's line."""
         self.flushes += 1
-        own_only = self.domain_gated
+        owner = domain if self.domain_gated else None
         l1 = self.l1
-        l1rec = l1.flush_line(addr, domain, own_only)
-        if own_only and l1.contains_addr(addr & self._line_mask):
+        l1rec = l1.flush_line(addr, owner)
+        if owner is not None and l1.contains_addr(addr & self._line_mask):
             l2rec = None
         else:
-            l2rec = self.l2.flush_line(addr, domain, own_only)
+            l2rec = self.l2.flush_line(addr, owner)
         if l1rec is not None and l1rec.dirty:
             data = bytes(l1rec.data)
             self.memory.write_line(l1rec.base, data)
@@ -186,18 +186,18 @@ class Hierarchy:
         # go in ascending slot order, the order the free list expects.
         l1 = self.l1
         for rec in l1.lines_at(base):
-            l1.flush_line(base, rec.domain, True)
+            l1.flush_line(base, rec.domain)
             if rec.dirty:
                 self.memory.write_line(base, rec.data)
 
     def drain(self) -> None:
         """Write every dirty line back and empty both levels."""
         for rec in list(self.l1.valid_lines()):
-            self.l1.flush_line(rec.base, rec.domain, True)
+            self.l1.flush_line(rec.base, rec.domain)
             if rec.dirty:
                 self.l2.writeback(rec.base, rec.domain, rec.data)
         for rec in list(self.l2.valid_lines()):
-            self.l2.flush_line(rec.base, rec.domain, False)
+            self.l2.flush_line(rec.base, rec.domain)
             if rec.dirty:
                 self.memory.write_line(rec.base, rec.data)
 

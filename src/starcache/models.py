@@ -28,8 +28,9 @@ level that supplied the data: its own on a hit, else what the fetch
 below reported, a NEWS forward without fill included.  It stores the
 byte value exactly when a value is passed (a store is never
 speculative: a NEWS mapping conflict raises ValueError for one).
-flush_line(addr, domain, own_domain_only) returns the removed line or
-None; handle_sfill_inv(addr, domain, source_level) is True when the
+flush_line(addr, domain) removes and returns what find(addr, domain)
+finds, domain None meaning any domain's copy on the set-associative
+cache; handle_sfill_inv(addr, domain, source_level) is True when the
 squash invalidation travels on, which it does only when the data came
 from below this level.  A level below answers fetch(addr, domain,
 spec_bit) with (payload, source level) and writeback(base, domain,
@@ -99,7 +100,7 @@ class _Level:
                 self.inval_dropped_case_i += 1
                 return False
             assert not rec.dirty, "speculative line must be clean"
-            self.flush_line(addr, domain, True)
+            self.flush_line(addr, domain)
         # fell through: either invalidated or not resident here
         return source_level > self.level
 
@@ -203,12 +204,11 @@ class SetAssocLru(_Level):
         rec.dirty = 1
         rec.spec_bit = 0    # stored data is architectural
 
-    def flush_line(self, addr: int, domain: int,
-                   own_domain_only: bool) -> CacheLineMeta | None:
+    def flush_line(self, addr: int, domain: int | None) -> CacheLineMeta | None:
         base = addr & self._line_mask
         od = self._sets[(base >> self._offset_bits) & self._setmask]
         rec = od.get(base)
-        if rec is None or (own_domain_only and rec.domain != domain):
+        if rec is None or (domain is not None and rec.domain != domain):
             return None
         del od[base]
         return rec
@@ -386,8 +386,7 @@ class NewsCache(_Level):
             _store(rec, addr - base, value)
         return source
 
-    def flush_line(self, addr: int, domain: int,
-                   own_domain_only: bool = True) -> CacheLineMeta | None:
+    def flush_line(self, addr: int, domain: int) -> CacheLineMeta | None:
         # domain-checked design: a flush can only ever see its own lines
         slot = self._slot_of(addr, domain)
         return None if slot is None else self._release(slot)

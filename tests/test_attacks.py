@@ -41,7 +41,7 @@ def test_fr_aes_recovers_high_nibbles_on_conventional():
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
 def test_summary_writes_a_non_finite_margin_as_null(margin):
-    run = AttackRun("fr-spectre", "sa-lru", 1, 1, ObservationMatrix(1, 1),
+    run = AttackRun("fr-spectre", RunConfig(), 1, ObservationMatrix(1, 1),
                     margin=margin)
     assert run.summary()["margin_cycles"] is None
     assert run.summary()["recovered"] == "NONE"
@@ -162,3 +162,27 @@ def test_every_harness_checks_the_line_size(run):
 def test_trials_default_comes_from_config():
     run = run_spectre(_cfg("sa-lru", trials=3), "fr-spectre", secret=5)
     assert run.trials == 3
+
+
+def test_a_run_carries_the_config_it_ran():
+    cfg = _cfg("sa-lru")
+    assert cfg.l1_assoc == 8
+    for run in (run_spectre(cfg, "pp-spectre", 7, trials=1),
+                run_spectre_sweep(cfg, "pp-spectre", trials_per_secret=1)):
+        assert run.config.l1_assoc == 2 and run.config.l1_lines == 512
+    assert cfg.l1_assoc == 8
+    for run in (run_flush_reload_aes(cfg, KEY_ZERO, trials=1),
+                run_prime_probe_aes(cfg, KEY_ZERO, trials=1),
+                run_spectre(cfg, "fr-spectre", 7, trials=1),
+                run_spectre_sweep(cfg, "fr-spectre", trials_per_secret=1)):
+        assert run.config is cfg
+
+
+@pytest.mark.parametrize("model", ["sa-lru", "star-farr", "star-news"])
+def test_pp_spectre_decodes_only_the_sets_a_secret_selects(model):
+    # a 1024-line L1 at two ways has 512 sets, 256 more than any secret
+    run = run_spectre_sweep(_cfg(model, l1_lines=1024), "pp-spectre",
+                            trials_per_secret=1)
+    assert all(r is None or 0 <= r <= 255 for r in run.recovered)
+    if model == "sa-lru":
+        assert run.exact_count >= 250

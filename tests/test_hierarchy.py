@@ -50,7 +50,7 @@ def test_one_shared_immutable_outcome_per_source_level(model, cycles, ladder):
     h = _hier(model, l1_hit_cycles=l1, l2_hit_cycles=l2, memory_cycles=mem)
     from_mem = h.load(0x1000, 0)
     hit = h.load(0x1000, 0)
-    h.l1.flush_line(0x1000, 0, True)        # the L2 copy stays
+    h.l1.flush_line(0x1000, 0)        # the L2 copy stays
     from_l2 = h.load(0x1000, 0)
     assert (hit, from_l2, from_mem) == tuple(zip(ladder, (1, 2, 3)))
     # every access served from one level gets that level's outcome,
@@ -58,7 +58,7 @@ def test_one_shared_immutable_outcome_per_source_level(model, cycles, ladder):
     assert h.store(0x1004, 0, 7) is hit
     assert h.load(0x2000, 0) is from_mem
     assert h.store(0x3000, 0) is from_mem
-    h.l1.flush_line(0x2000, 0, True)
+    h.l1.flush_line(0x2000, 0)
     assert h.load(0x2000, 0) is from_l2
     for outcome in (hit, from_l2, from_mem):
         with pytest.raises(AttributeError):
@@ -146,6 +146,11 @@ def test_hardened_flush_respects_domains():
         assert h.flush(0x6000, 2) is False
         assert h.l2.contains_addr(0x6000)
         assert h.flush(0x6000, 1) is True
+        # with no L1 copy left, the L2 line is still domain 1's alone
+        h.load(0x6000, 1)
+        h.l1.flush_line(0x6000, 1)
+        assert h.flush(0x6000, 2) is False
+        assert h.l2.contains_addr(0x6000)
 
 
 def test_hardened_flush_resyncs_foreign_l2_copy():
@@ -189,7 +194,7 @@ def test_sfill_inv_source2_stops_at_nonspec_l2_line():
     h.load(0xB000, 0)                   # non-spec everywhere
     # evict from L1 only, then refill speculatively out of L2
     for rec in list(h.l1.valid_lines()):
-        h.l1.flush_line(rec.base, rec.domain, True)
+        h.l1.flush_line(rec.base, rec.domain)
     out = h.load(0xB000, 0, spec_bit=1)
     assert out.source_level == 2
     h.squash([(0xB000, 0, 2)])

@@ -122,9 +122,9 @@ def test_lru_dirty_eviction_writes_back():
 def test_lru_flush_line_domain_filter():
     c = _lru()
     c.access(0x6000, 1, 0)
-    assert c.flush_line(0x6000, 2, True) is None     # wrong domain
+    assert c.flush_line(0x6000, 2) is None     # wrong domain
     assert c.find(0x6000) is not None
-    assert c.flush_line(0x6000, 2, False) is not None
+    assert c.flush_line(0x6000, None) is not None   # any domain
     assert c.find(0x6000) is None
 
 
@@ -224,8 +224,8 @@ def test_farr_spec_bit_rules():
 def test_farr_flush_is_domain_keyed():
     c = _farr()
     c.access(0x4000, 1, 0)
-    assert c.flush_line(0x4000, 2, True) is None
-    assert c.flush_line(0x4000, 1, True) is not None
+    assert c.flush_line(0x4000, 2) is None
+    assert c.flush_line(0x4000, 1) is not None
     assert c.find(0x4000, 1) is None
 
 
